@@ -22,7 +22,7 @@ from .corpus import (
     tokenize,
 )
 from .decoding import beam_decode, exhaustive_decode, greedy_decode, oracle_in_beam
-from .encoders import EncoderConfig, LstmCell, encode_cbow, encode_cnn, encode_lstm, lstm_step
+from .encoders import EncoderConfig, LstmCell, lstm_step
 from .errors import OrdernetError
 from .metrics import MetricsReport, aggregate, head_tail, lsr_scores, pm_scores, pmr
 from .model import (

@@ -57,8 +57,40 @@ class Param(Tensor):
         return f"Param({self.name!r}, shape={self.value.shape})"
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+def sigmoid(v):
+    """Elementwise logistic function of an array, split by sign so exp never overflows."""
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
+
+
+def lstm_cell(pre, c_prev):
+    """Gate nonlinearities and state update of an LSTM, on plain arrays.
+
+    pre holds the pre-activations packed (input, output, forget, candidate)
+    along its last axis; a leading batch axis is allowed.  Returns the new
+    hidden state, the new cell state, and the (input, output, forget,
+    candidate, tanh(cell)) activations a backward sweep needs.
+    """
+    d = pre.shape[-1] // 4
+    gates = sigmoid(pre[..., :3 * d])
+    gate_in, gate_out, gate_forget = gates[..., :d], gates[..., d:2 * d], gates[..., 2 * d:]
+    candidate = np.tanh(pre[..., 3 * d:])
+    c = c_prev * gate_forget + candidate * gate_in
+    tanh_c = np.tanh(c)
+    return gate_out * tanh_c, c, (gate_in, gate_out, gate_forget, candidate, tanh_c)
+
+
+def _add_outer(outer_terms, target, left, right):
+    """target.grad += outer(left, right), deferred into outer_terms for a Param."""
+    if not isinstance(target, Param):
+        target.grad += np.outer(left, right)
+        return
+    terms = outer_terms.get(id(target))
+    if terms is None:
+        terms = outer_terms[id(target)] = (target, [], [])
+    terms[1].append(left)
+    terms[2].append(right)
 
 
 class Graph:
@@ -70,11 +102,12 @@ class Graph:
 
     def __init__(self, recording=True):
         self._tape = []
+        self._outer_terms = {}  # id(param) -> (param, left vectors, right vectors)
         self.recording = recording
 
-    def _emit(self, out, backward_fn):
+    def _emit(self, out, backward_fn, more_outs=()):
         if self.recording:
-            self._tape.append((out, backward_fn))
+            self._tape.append(((out, *more_outs), backward_fn))
         return out
 
     def backward(self, root, seed=1.0):
@@ -82,11 +115,20 @@ class Graph:
         if not self.recording:
             raise NumericError("cannot backpropagate through a non-recording graph")
         # Op outputs hold per-pass scratch gradients; leaves keep accumulating.
-        for out, _ in self._tape:
-            out.grad[...] = 0.0
+        for outs, _ in self._tape:
+            for out in outs:
+                out.grad[...] = 0.0
+        self._outer_terms.clear()
         root.grad += seed
         for _, backward_fn in reversed(self._tape):
             backward_fn()
+        # Nothing reads a parameter's gradient during the sweep, so the outer
+        # products deferred by lstm_step are summed here in one call per
+        # weight.  einsum runs in numpy's own loops: a BLAS GEMM would spawn
+        # threads, which slow training severalfold on a busy machine.
+        for param, lefts, rights in self._outer_terms.values():
+            param.grad += np.einsum("ti,tj->ij", np.stack(lefts), np.stack(rights))
+        self._outer_terms.clear()
 
     # ----- primitives -----
 
@@ -157,19 +199,60 @@ class Graph:
         return self._emit(out, backward_fn)
 
     def sigmoid(self, x):
-        # Split by sign so exp never overflows.
-        v = x.value
-        y = np.empty_like(v)
-        pos = v >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-        ev = np.exp(v[~pos])
-        y[~pos] = ev / (1.0 + ev)
-        out = Tensor(y)
+        out = Tensor(sigmoid(x.value))
 
         def backward_fn():
             x.grad += out.grad * out.value * (1.0 - out.value)
 
         return self._emit(out, backward_fn)
+
+    def lstm_step(self, x, h_prev, c_prev, w, b):
+        """One LSTM transition as a single op; returns the new (hidden, cell).
+
+        w is the ([x; h_prev], 4d) weight matrix and b the 4d bias, gates
+        packed (input, output, forget, candidate).  Forward and backward do
+        the same float operations in the same order as composing concat,
+        matmul, add, narrow, sigmoid, tanh and mul, so values and the
+        gradients of x, h_prev, c_prev and b are bit-identical to that
+        composition.  When w is a Param, its per-step outer products are
+        summed in one einsum call at the end of backward(), which rounds
+        differently from adding them one at a time.
+        """
+        xv, hv, cv, wv, bv = x.value, h_prev.value, c_prev.value, w.value, b.value
+        if xv.ndim != 1 or hv.ndim != 1 or cv.shape != hv.shape:
+            raise ShapeError(f"lstm_step expects vectors x, h, c with h and c alike, "
+                             f"got {xv.shape}, {hv.shape}, {cv.shape}")
+        k, d = xv.shape[0], hv.shape[0]
+        if wv.shape != (k + d, 4 * d) or bv.shape != (4 * d,):
+            raise ShapeError(f"lstm_step weights {wv.shape} and bias {bv.shape} do not fit "
+                             f"input {k} and state {d}")
+        xh = np.concatenate([xv, hv])
+        h_value, c_value, (gate_in, gate_out, gate_forget, candidate, tanh_c) = \
+            lstm_cell(xh @ wv + bv, cv)
+        h, c = Tensor(h_value), Tensor(c_value)
+        # The closure holds the dict, not the graph: a graph -> tape ->
+        # closure -> graph cycle would keep every graph alive until the
+        # cyclic garbage collector happens to run.
+        outer_terms = self._outer_terms
+
+        def backward_fn():
+            g = h.grad
+            c.grad += g * gate_out * (1.0 - tanh_c * tanh_c)
+            dc = c.grad
+            c_prev.grad += dc * gate_forget
+            d_pre = np.concatenate([
+                dc * candidate * gate_in * (1.0 - gate_in),
+                g * tanh_c * gate_out * (1.0 - gate_out),
+                dc * cv * gate_forget * (1.0 - gate_forget),
+                dc * gate_in * (1.0 - candidate * candidate),
+            ])
+            b.grad += d_pre
+            d_xh = wv @ d_pre
+            _add_outer(outer_terms, w, xh, d_pre)
+            x.grad += d_xh[:k]
+            h_prev.grad += d_xh[k:]
+
+        return self._emit(h, backward_fn, (c,)), c
 
     def log(self, x):
         if np.any(x.value <= 0.0):

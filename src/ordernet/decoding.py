@@ -4,50 +4,103 @@ All searches share the same tie discipline: candidates sort by cumulative
 log-probability, then lexicographically by their position sequence (with the
 stop slot numbered n, so stopping loses ties to any position).  Scores are
 raw sums of step log-probabilities; nothing is length-normalized.
+
+Greedy and beam search step a BatchDecoder, a forward-only copy of the
+decoder on plain arrays; exhaustive search and rescoring teacher-force the
+differentiable Graph path of ordernet.model.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph
+from .autodiff import Graph, lstm_cell
 from .errors import IndexRangeError, InvalidOrderError
 from .metrics import lsr_scores, pm_scores
-from .model import START, Order, advance_decoder, decode_step, encode_document, sequence_log_prob
+from .model import START, Order, encode_document, sequence_log_prob
+
+# The per-step Graph functions stay bound here so that a profiler can wrap
+# them in this namespace (bench/tracing.py does); the searches below use
+# BatchDecoder instead.
+from .model import advance_decoder, decode_step  # noqa: F401
 
 EXHAUSTIVE_LIMIT = 8  # factorial guard
 
 
-def _prepare(sentences, params):
-    graph = Graph(recording=False)
-    encoded = encode_document(graph, sentences, params)
-    return graph, encoded
+class BatchDecoder:
+    """Forward-only pointer decoder over plain arrays, for a batch of rows.
+
+    The document is encoded once, on a non-recording Graph, and the
+    attention keys are projected once.  Each row of a batch is one decoder
+    state; advance() and log_probs() apply the decoder LSTM step and the
+    pointing distribution of model.advance_decoder and model.decode_step to
+    every row at once, with no gradient buffers.
+    """
+
+    def __init__(self, sentences, params, variable_length=False):
+        encoded = encode_document(Graph(recording=False), sentences, params)
+        hd = params.hidden_dim
+        keys = [t.value for t in encoded.context_hidden]
+        if variable_length:
+            keys.append(params.stop_key.value)
+        self.n = len(sentences)
+        self.slots = len(keys)  # n, or n + 1 with the stop slot last
+        self.keys = np.stack(keys) @ params.attn_w.value[:hd]
+        self.query_w = params.attn_w.value[hd:]
+        self.attn_v = params.attn_v.value
+        # Row 0 is the START input, row j + 1 the vector of sentence j.
+        self.inputs = np.stack([params.start_input.value]
+                               + [t.value for t in encoded.sentence_vectors])
+        self.cell_w = params.decoder_cell.w.value
+        self.cell_b = params.decoder_cell.b.value
+        hidden, cell = encoded.final_state
+        self.initial = (hidden.value[None, :], cell.value[None, :])
+
+    def advance(self, hidden, cell, chosen):
+        """Decoder LSTM step of every row; chosen[r] is START or a position."""
+        chosen = np.asarray(chosen)
+        if np.any((chosen < START) | (chosen >= self.n)):
+            raise IndexRangeError(f"chosen positions {chosen} outside {self.n} inputs")
+        x = self.inputs[chosen + 1]
+        pre = np.concatenate([x, hidden], axis=1) @ self.cell_w + self.cell_b
+        hidden, cell, _ = lstm_cell(pre, cell)
+        return hidden, cell
+
+    def log_probs(self, hidden, mask):
+        """(B, slots) log pointing distributions; mask[r, j] True hides slot j.
+
+        Hidden slots come out as -inf, so they are never the argmax of a row
+        with any visible slot.  Every row needs one visible slot.
+        """
+        logits = np.tanh(self.keys[None, :, :] + (hidden @ self.query_w)[:, None, :]) @ self.attn_v
+        logits = np.where(mask, -np.inf, logits)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def greedy_decode(sentences, params, variable_length=False):
     """Follow the argmax at every step; ties go to the lowest slot index."""
     n = len(sentences)
-    graph, encoded = _prepare(sentences, params)
-    state = encoded.final_state
-    mask = np.zeros(n + 1 if variable_length else n, dtype=bool)
+    decoder = BatchDecoder(sentences, params, variable_length)
+    hidden, cell = decoder.initial
+    mask = np.zeros((1, decoder.slots), dtype=bool)
 
     positions = []
     log_prob = 0.0
     previous = START
     stopped = False
     while len(positions) < n:
-        state = advance_decoder(graph, state, previous, encoded, params)
-        probs = decode_step(graph, state[0], encoded, mask, params, variable_length)
-        choice = int(np.argmax(probs.value))
-        log_prob += float(np.log(probs.value[choice]))
+        hidden, cell = decoder.advance(hidden, cell, [previous])
+        step = decoder.log_probs(hidden, mask)[0]
+        choice = int(np.argmax(step))
+        log_prob += float(step[choice])
         if choice == n:
             stopped = True
             break
         positions.append(choice)
-        mask[choice] = True
+        mask[0, choice] = True
         previous = choice
     if variable_length and not stopped:
         # Every position is taken, so the stop slot is the only candidate
@@ -56,67 +109,60 @@ def greedy_decode(sentences, params, variable_length=False):
     return Order(tuple(positions), stopped, log_prob)
 
 
-@dataclass
-class _Candidate:
-    key: tuple        # positions, with the stop slot appended once finished
-    positions: tuple
-    state: tuple      # decoder (hidden, cell) after consuming the last choice
-    parent: object    # candidate this one extends, until its state is built
-    log_prob: float
-    finished: bool
-
-
 def beam_decode(sentences, params, beam_size, variable_length=False):
     """Beam search; returns (best order, the whole finished beam).
 
     Finished candidates stay in the beam at their final score and compete
     with live ones for the beam_size slots.  The search runs until every
-    survivor is finished, which takes at most n+1 levels.
+    survivor is finished, which takes at most n+1 levels.  Each level scores
+    every live candidate in one log_probs call and advances the surviving
+    children in one advance call.
     """
     if beam_size < 1:
         raise IndexRangeError(f"beam size must be positive, got {beam_size}")
     n = len(sentences)
-    graph, encoded = _prepare(sentences, params)
+    decoder = BatchDecoder(sentences, params, variable_length)
+    # Candidates are (log_prob, key, positions, parent row), the key being
+    # the positions with the stop slot n appended once finished and the
+    # parent row None once finished.  Row r of hidden, cell and mask holds
+    # the decoder state of live[r], which is (positions, log_prob).
+    hidden, cell = decoder.advance(*decoder.initial, [START])
+    mask = np.zeros((1, decoder.slots), dtype=bool)
+    live = [((), 0.0)]
+    finished = []
 
-    root_state = advance_decoder(graph, encoded.final_state, START, encoded, params)
-    beam = [_Candidate((), (), root_state, None, 0.0, False)]
-
-    while any(not c.finished for c in beam):
-        expansions = []
-        for cand in beam:
-            if cand.finished:
-                expansions.append(cand)
+    while live:
+        rows, slots = np.nonzero(~mask)
+        step = decoder.log_probs(hidden, mask)
+        scores = np.array([lp for _, lp in live])[rows] + step[rows, slots]
+        expansions = list(finished)
+        for row, slot, score in zip(rows.tolist(), slots.tolist(), scores.tolist()):
+            positions = live[row][0]
+            if slot == n:
+                expansions.append((score, positions + (n,), positions, None))
                 continue
-            mask = np.zeros(n + 1 if variable_length else n, dtype=bool)
-            mask[list(cand.positions)] = True
-            probs = decode_step(graph, cand.state[0], encoded, mask, params,
-                                variable_length)
-            for slot in np.flatnonzero(~mask):
-                slot = int(slot)
-                score = cand.log_prob + float(np.log(probs.value[slot]))
-                if slot == n:
-                    expansions.append(_Candidate(
-                        cand.key + (n,), cand.positions, None, None, score, True))
-                    continue
-                positions = cand.positions + (slot,)
-                if len(positions) == n:
-                    # The only continuation is stop (probability exactly 1 in
-                    # variable-length mode, no further step otherwise).
-                    key = positions + (n,) if variable_length else positions
-                    expansions.append(_Candidate(key, positions, None, None, score, True))
-                else:
-                    expansions.append(_Candidate(
-                        positions, positions, None, cand, score, False))
-        expansions.sort(key=lambda c: (-c.log_prob, c.key))
+            positions = positions + (slot,)
+            if len(positions) == n:
+                # The only continuation is stop (probability exactly 1 in
+                # variable-length mode, no further step otherwise).
+                key = positions + (n,) if variable_length else positions
+                expansions.append((score, key, positions, None))
+            else:
+                expansions.append((score, positions, positions, row))
+        expansions.sort(key=lambda e: (-e[0], e[1]))
         beam = expansions[:beam_size]
-        for cand in beam:
-            if cand.parent is not None:
-                cand.state = advance_decoder(
-                    graph, cand.parent.state, cand.positions[-1], encoded, params)
-                cand.parent = None
+        finished = [e for e in beam if e[3] is None]
+        children = [e for e in beam if e[3] is not None]
+        live = [(positions, score) for score, _, positions, _ in children]
+        if children:
+            parents = [row for _, _, _, row in children]
+            chosen = [positions[-1] for _, _, positions, _ in children]
+            hidden, cell = decoder.advance(hidden[parents], cell[parents], chosen)
+            mask = mask[parents]
+            mask[np.arange(len(children)), chosen] = True
 
     stopped = variable_length
-    orders = [Order(c.positions, stopped, c.log_prob) for c in beam]
+    orders = [Order(positions, stopped, score) for score, _, positions, _ in beam]
     return orders[0], orders
 
 

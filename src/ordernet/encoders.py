@@ -67,15 +67,7 @@ class LstmCell:
 
 def lstm_step(graph, x, h_prev, c_prev, cell):
     """One LSTM transition; returns the new (hidden, cell) pair."""
-    d = cell.state_dim
-    pre = graph.add(graph.matmul(graph.concat([x, h_prev]), cell.w), cell.b)
-    gate_in = graph.sigmoid(graph.narrow(pre, 0, d))
-    gate_out = graph.sigmoid(graph.narrow(pre, d, 2 * d))
-    gate_forget = graph.sigmoid(graph.narrow(pre, 2 * d, 3 * d))
-    candidate = graph.tanh(graph.narrow(pre, 3 * d, 4 * d))
-    c = graph.add(graph.mul(c_prev, gate_forget), graph.mul(candidate, gate_in))
-    h = graph.mul(gate_out, graph.tanh(c))
-    return h, c
+    return graph.lstm_step(x, h_prev, c_prev, cell.w, cell.b)
 
 
 class ConvFilter:
@@ -141,15 +133,3 @@ def lstm_vector(graph, word_vectors, cell):
     for x in word_vectors:
         h, c = lstm_step(graph, x, h, c, cell)
     return h
-
-
-def encode_cbow(graph, sentence_ids, embeddings):
-    return cbow_vector(graph, [graph.lookup(embeddings, i) for i in sentence_ids])
-
-
-def encode_cnn(graph, sentence_ids, embeddings, filters):
-    return cnn_vector(graph, [graph.lookup(embeddings, i) for i in sentence_ids], filters)
-
-
-def encode_lstm(graph, sentence_ids, embeddings, cell):
-    return lstm_vector(graph, [graph.lookup(embeddings, i) for i in sentence_ids], cell)

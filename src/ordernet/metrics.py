@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import EmptyInputError
+
 
 @dataclass(frozen=True)
 class PRF:
@@ -115,7 +117,7 @@ def aggregate(pairs):
     """MetricsReport over (pred, gold) sequence pairs."""
     pairs = list(pairs)
     if not pairs:
-        raise ValueError("cannot aggregate zero texts")
+        raise EmptyInputError("cannot aggregate zero texts")
     n = len(pairs)
     pm_p = pm_r = lsr_p = lsr_r = exact = head = tail = 0.0
     for pred, gold in pairs:

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
+
 ORDINALS = (
     "first", "second", "third", "fourth", "fifth",
     "sixth", "seventh", "eighth", "ninth", "tenth",
@@ -54,7 +56,7 @@ def topic_fillers(topic_index):
 def generate_documents(count, rng, sentences_per_doc=5, min_fillers=1, max_fillers=3):
     """List of documents, each a list of sentence strings in gold order."""
     if sentences_per_doc > len(ORDINALS):
-        raise ValueError(f"at most {len(ORDINALS)} sentences per document")
+        raise ConfigError(f"at most {len(ORDINALS)} sentences per document")
     documents = []
     for _ in range(count):
         k = int(rng.integers(len(TOPICS)))

@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Graph
 from .corpus import Vocab, build_instances, noise_pool_of, stable_seed
 from .encoders import EncoderConfig
-from .errors import CheckpointError, ConfigError, NumericError
+from .errors import CheckpointError, ConfigError, InvalidOrderError, NumericError
 from .decoding import beam_decode, greedy_decode
 from .metrics import MetricsReport, aggregate
 from .model import PtrNetParams, sequence_log_prob
@@ -208,9 +208,10 @@ def evaluate(model, instances, strategy="greedy", beam_size=None, jobs=1):
     orders = decode_instances(model, instances, strategy, beam_size, jobs)
     pairs = []
     for inst, order in zip(instances, orders):
-        if not inst.has_stop:
-            assert sorted(order.positions) == list(range(inst.n_inputs)), \
-                "fixed-length decoding must emit a permutation"
+        if not inst.has_stop and sorted(order.positions) != list(range(inst.n_inputs)):
+            raise InvalidOrderError(
+                f"{inst.doc_id}: fixed-length decoding emitted {list(order.positions)}, "
+                f"not a permutation of {inst.n_inputs} positions")
         pairs.append((list(order.positions), inst.gold_positions))
     return aggregate(pairs)
 
@@ -230,6 +231,7 @@ def checkpoint_save(path, model, opt_state=None, meta=None):
     if opt_state is not None:
         for name, acc in opt_state.accumulators.items():
             arrays[f"opt/{name}"] = acc
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         np.savez(fh, **arrays)

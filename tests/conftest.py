@@ -1,13 +1,22 @@
 """Shared fixtures: a small corpus on disk and a checkpoint trained on it."""
 
+import os
 import sys
 from pathlib import Path
 
-import pytest
+# One BLAS thread, as bench/run.py uses.  Set before numpy is imported: on a
+# busy machine OpenBLAS worker threads spin and make small GEMMs and dot
+# products tens of times slower, and the thread count changes how dot
+# products round, so long training runs would follow a different path on
+# each machine.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ordernet import cli, synthetic
+from ordernet import cli, synthetic  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,21 @@ search code.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
+from ordernet.autodiff import Graph
 from ordernet.encoders import EncoderConfig
-from ordernet.model import PtrNetParams
+from ordernet.errors import IndexRangeError
+from ordernet.model import (
+    START,
+    Order,
+    PtrNetParams,
+    advance_decoder,
+    decode_step,
+    encode_document,
+)
 
 # ---------------------------------------------------------------------------
 # fixture builders
@@ -75,6 +85,23 @@ def ref_lstm_step(x, h_prev, c_prev, w, b):
     candidate = np.tanh(pre[3 * d:])
     c = c_prev * gate_forget + candidate * gate_in
     return gate_out * np.tanh(c), c
+
+
+def composed_lstm_step(graph, x, h_prev, c_prev, cell):
+    """One LSTM transition composed from separate Graph primitives.
+
+    This is the op-by-op form that Graph.lstm_step fuses; the two must agree
+    bit for bit, in values and in gradients.
+    """
+    d = cell.state_dim
+    pre = graph.add(graph.matmul(graph.concat([x, h_prev]), cell.w), cell.b)
+    gate_in = graph.sigmoid(graph.narrow(pre, 0, d))
+    gate_out = graph.sigmoid(graph.narrow(pre, d, 2 * d))
+    gate_forget = graph.sigmoid(graph.narrow(pre, 2 * d, 3 * d))
+    candidate = graph.tanh(graph.narrow(pre, 3 * d, 4 * d))
+    c = graph.add(graph.mul(c_prev, gate_forget), graph.mul(candidate, gate_in))
+    h = graph.mul(gate_out, graph.tanh(c))
+    return h, c
 
 
 def ref_sentence_vector(params, token_ids):
@@ -158,6 +185,73 @@ def ref_log_prob(params, sentences, target):
             mask[t] = True
             x = sent_vecs[t]
     return total
+
+
+# ---------------------------------------------------------------------------
+# reference beam search (one Graph step per candidate)
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Candidate:
+    key: tuple        # positions, with the stop slot appended once finished
+    positions: tuple
+    state: tuple      # decoder (hidden, cell) after consuming the last choice
+    parent: object    # candidate this one extends, until its state is built
+    log_prob: float
+    finished: bool
+
+
+def ref_beam_decode(sentences, params, beam_size, variable_length=False):
+    """Beam search stepping each candidate alone through the Graph functions.
+
+    Same contract and tie order as ordernet.decoding.beam_decode: candidates
+    sort by (-log p, key) with the stop slot numbered n, finished ones keep
+    competing for the beam, and the search ends when all are finished.
+    """
+    if beam_size < 1:
+        raise IndexRangeError(f"beam size must be positive, got {beam_size}")
+    n = len(sentences)
+    graph = Graph(recording=False)
+    encoded = encode_document(graph, sentences, params)
+
+    root_state = advance_decoder(graph, encoded.final_state, START, encoded, params)
+    beam = [_Candidate((), (), root_state, None, 0.0, False)]
+
+    while any(not c.finished for c in beam):
+        expansions = []
+        for cand in beam:
+            if cand.finished:
+                expansions.append(cand)
+                continue
+            mask = np.zeros(n + 1 if variable_length else n, dtype=bool)
+            mask[list(cand.positions)] = True
+            probs = decode_step(graph, cand.state[0], encoded, mask, params,
+                                variable_length)
+            for slot in np.flatnonzero(~mask):
+                slot = int(slot)
+                score = cand.log_prob + float(np.log(probs.value[slot]))
+                if slot == n:
+                    expansions.append(_Candidate(
+                        cand.key + (n,), cand.positions, None, None, score, True))
+                    continue
+                positions = cand.positions + (slot,)
+                if len(positions) == n:
+                    key = positions + (n,) if variable_length else positions
+                    expansions.append(_Candidate(key, positions, None, None, score, True))
+                else:
+                    expansions.append(_Candidate(
+                        positions, positions, None, cand, score, False))
+        expansions.sort(key=lambda c: (-c.log_prob, c.key))
+        beam = expansions[:beam_size]
+        for cand in beam:
+            if cand.parent is not None:
+                cand.state = advance_decoder(
+                    graph, cand.parent.state, cand.positions[-1], encoded, params)
+                cand.parent = None
+
+    stopped = variable_length
+    orders = [Order(c.positions, stopped, c.log_prob) for c in beam]
+    return orders[0], orders
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,7 @@ def _well_scaled(rng, shape):
 
 def test_grad_check_every_primitive_under_1e_5():
     rng = np.random.default_rng(42)
+    lstm_rng = np.random.default_rng(44)  # keeps the other cases' draws as they were
     worst = {}
     for trial in range(TRIALS):
         a = Tensor(_well_scaled(rng, (3, 4)))
@@ -285,6 +286,10 @@ def test_grad_check_every_primitive_under_1e_5():
         w_24 = rng.normal(size=(2, 4))
         w_34 = rng.normal(size=(3, 4))
         mask = np.array([False, True, False, False])
+        pos3 = Tensor(lstm_rng.uniform(0.5, 2.0, size=3))
+        lstm_w = Param("lstm_w", _well_scaled(lstm_rng, (7, 12)))
+        lstm_b = Tensor(_well_scaled(lstm_rng, (12,)))
+        w_v6 = lstm_rng.normal(size=6)
 
         cases = {
             "matmul_mm": lambda g: _weighted_sum(g, g.matmul(a, b), w_m),
@@ -308,6 +313,8 @@ def test_grad_check_every_primitive_under_1e_5():
             "lookup": lambda g: _weighted_sum(g, g.lookup(a, 2), w_v4),
             "mean_rows": lambda g: _weighted_sum(g, g.mean_rows(a), w_v4),
             "pick": lambda g: g.pick(v, 1),
+            "lstm_step": lambda g: _weighted_sum(
+                g, g.concat(g.lstm_step(v, u, pos3, lstm_w, lstm_b)), w_v6),
         }
         leaves = {
             "matmul_mm": [a, b], "matmul_vm": [v, b], "matmul_mv": [a, v],
@@ -316,6 +323,7 @@ def test_grad_check_every_primitive_under_1e_5():
             "sigmoid": [v], "log": [pos], "sum": [a], "masked_softmax": [v],
             "concat": [v, u], "stack_rows": [v, pos], "narrow": [a],
             "add_rowvec": [a, v], "lookup": [a], "mean_rows": [a], "pick": [v],
+            "lstm_step": [v, u, pos3, lstm_w, lstm_b],
         }
         for name, fn in cases.items():
             err = grad_check(fn, leaves[name])

@@ -71,6 +71,20 @@ def test_train_flag_overrides_config_file(capsys, toy_corpus_dir, tmp_path):
     assert '"epochs": 1' in out.splitlines()[0]
 
 
+def test_train_creates_a_missing_out_directory(capsys, toy_corpus_dir, tmp_path):
+    config = tmp_path / "c.cfg"
+    config.write_text("encoder = cbow\nhidden_dim = 8\nembed_dim = 6\nrecurrent_dim = 8\n"
+                      "batch_size = 8\nepochs = 1\n", encoding="utf-8")
+    out = tmp_path / "new" / "run"
+    rc, _, err = run_cli(capsys, [
+        "train", "--config", str(config),
+        "--train", str(toy_corpus_dir / "train.txt"),
+        "--dev", str(toy_corpus_dir / "test.txt"), "--out", str(out)])
+    assert rc == 0, err
+    model, _, _ = checkpoint_load(out / "model.npz")
+    assert model.config.epochs == 1
+
+
 def test_train_without_output_location_fails(capsys, toy_corpus_dir):
     rc, out, err = run_cli(capsys, [
         "train", "--train", str(toy_corpus_dir / "train.txt"),
@@ -135,6 +149,16 @@ def test_eval_beam_strategy_runs(capsys, toy_corpus_dir, toy_checkpoint):
         "--test", str(toy_corpus_dir / "test.txt")])
     assert rc == 0
     assert re.search(r"^count=12$", out, re.M)
+
+
+def test_eval_of_an_empty_file_fails_with_one_error_line(capsys, toy_checkpoint, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    rc, _, err = run_cli(capsys, ["eval", "--checkpoint", toy_checkpoint,
+                                  "--test", str(empty)])
+    assert rc == 1
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_eval_requires_checkpoint_flag(capsys, toy_corpus_dir):

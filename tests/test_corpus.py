@@ -20,11 +20,13 @@ from ordernet.corpus import (
     tokenize,
 )
 from ordernet.errors import (
+    ConfigError,
     CorpusError,
     EmptyInputError,
     FormatError,
     NoiseSampleError,
 )
+from ordernet.synthetic import ORDINALS, generate_documents
 
 # ---------------------------------------------------------------------------
 # tokenization
@@ -316,3 +318,10 @@ def test_build_instances_keys_epochs_independently():
     assert [i.target for i in epoch1] == [i.target for i in epoch1_again]
     assert [i.target for i in epoch1] != [i.target for i in epoch2]
     assert [i.doc_id for i in epoch1] == [d.doc_id for d in docs]
+
+
+def test_synthetic_documents_are_capped_by_the_ordinal_cues():
+    rng = np.random.default_rng(0)
+    assert len(generate_documents(1, rng, len(ORDINALS))[0]) == len(ORDINALS)
+    with pytest.raises(ConfigError):
+        generate_documents(1, rng, len(ORDINALS) + 1)

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_sentences, tiny_params
+from helpers import overwrite_well_scaled, random_sentences, ref_beam_decode, tiny_params
 
+from ordernet import model
+from ordernet.autodiff import Graph, Tensor
 from ordernet.decoding import (
     EXHAUSTIVE_LIMIT,
+    BatchDecoder,
     beam_decode,
     exhaustive_decode,
     greedy_decode,
@@ -18,6 +21,99 @@ from ordernet.decoding import (
 from ordernet.errors import IndexRangeError, InvalidOrderError
 from ordernet.metrics import pm_scores
 from ordernet.model import Order
+
+
+# ---------------------------------------------------------------------------
+# batched decoder against the Graph step functions
+# ---------------------------------------------------------------------------
+
+
+def test_batch_decoder_rows_equal_graph_steps():
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        kind = ("cbow", "cnn", "lstm")[trial % 3]
+        variable = bool(trial // 3 % 2)
+        params = tiny_params(kind, seed=3000 + trial)
+        n = int(rng.integers(1, 6))
+        sentences = random_sentences(rng, 12, n)
+        decoder = BatchDecoder(sentences, params, variable)
+        graph = Graph(recording=False)
+        encoded = model.encode_document(graph, sentences, params)
+        b, hd = int(rng.integers(1, 9)), params.hidden_dim
+
+        hidden, cell = rng.normal(size=(b, hd)), rng.normal(size=(b, hd))
+        chosen = rng.integers(model.START, n, size=b)
+        new_hidden, new_cell = decoder.advance(hidden, cell, chosen)
+        slots = n + 1 if variable else n
+        mask = rng.random((b, slots)) < 0.5
+        mask[np.arange(b), rng.integers(0, slots, size=b)] = False
+        step = decoder.log_probs(hidden, mask)
+        assert new_hidden.shape == new_cell.shape == (b, hd)
+        assert step.shape == (b, slots)
+
+        for r in range(b):
+            h, c = model.advance_decoder(graph, (Tensor(hidden[r]), Tensor(cell[r])),
+                                         int(chosen[r]), encoded, params)
+            assert np.max(np.abs(new_hidden[r] - h.value)) <= 1e-12
+            assert np.max(np.abs(new_cell[r] - c.value)) <= 1e-12
+            probs = model.decode_step(graph, Tensor(hidden[r]), encoded, mask[r],
+                                      params, variable).value
+            assert np.all(step[r][mask[r]] == -np.inf)
+            keep = ~mask[r]
+            assert np.max(np.abs(step[r][keep] - np.log(probs[keep]))) <= 1e-12
+
+
+def test_a_masked_dominant_slot_leaves_the_visible_distribution_intact():
+    # The stop logit is thousands above the others; once the stop slot is
+    # masked it must not take part in the max, or every visible slot would
+    # underflow to probability 0.
+    params = tiny_params("cbow", seed=3)
+    h = params.hidden_dim
+    params.attn_w.value[...] = 0.0
+    params.attn_w.value[:h] = np.eye(h)
+    params.attn_v.value[...] = 1000.0
+    params.stop_key.value[...] = 100.0
+    sentences = random_sentences(np.random.default_rng(16), 12, 4)
+    decoder = BatchDecoder(sentences, params, variable_length=True)
+    mask = np.array([[False, True, False, False, True],
+                     [False, False, False, False, False]])
+    step = decoder.log_probs(np.zeros((2, h)), mask)
+    assert step[0, 4] == -np.inf and np.all(np.isfinite(step[0, [0, 2, 3]]))
+    assert abs(np.exp(step[0, [0, 2, 3]]).sum() - 1.0) <= 1e-12
+    assert int(np.argmax(step[1])) == 4
+
+
+def test_batch_decoder_rejects_positions_outside_the_document():
+    params = tiny_params("cbow", seed=5)
+    sentences = random_sentences(np.random.default_rng(14), 12, 3)
+    decoder = BatchDecoder(sentences, params)
+    with pytest.raises(IndexRangeError):
+        decoder.advance(*decoder.initial, [3])
+    with pytest.raises(IndexRangeError):
+        decoder.advance(*decoder.initial, [model.START - 1])
+
+
+def test_beam_matches_per_candidate_reference():
+    rng = np.random.default_rng(15)
+    uneven_finish = False
+    for trial in range(240):
+        kind = ("cbow", "cnn", "lstm")[trial % 3]
+        variable = bool(trial % 2)
+        width = (1, 2, 4, 64)[trial // 2 % 4]
+        params = tiny_params(kind, seed=4000 + trial)
+        # At the initial scale the decoder state barely moves the logits,
+        # so a candidate advanced from the wrong parent would go unnoticed.
+        overwrite_well_scaled(params, seed=4000 + trial)
+        sentences = random_sentences(rng, 12, int(rng.integers(1, 6)))
+        best, beam = beam_decode(sentences, params, width, variable)
+        _, ref_beam = ref_beam_decode(sentences, params, width, variable)
+        assert [o.positions for o in beam] == [o.positions for o in ref_beam]
+        assert all(o.stopped == variable for o in beam)
+        for order, ref in zip(beam, ref_beam):
+            assert abs(order.log_prob - ref.log_prob) <= 1e-10
+        assert best == beam[0]
+        uneven_finish |= len({len(o.positions) for o in beam}) > 1
+    assert uneven_finish, "no beam held candidates that stopped at different levels"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import brute_lcs_length
 
+from ordernet.errors import EmptyInputError
 from ordernet.metrics import (
     aggregate,
     head_tail,
@@ -164,5 +165,5 @@ def test_aggregate_report_round_trips_to_dict_and_text():
 
 
 def test_aggregate_rejects_empty_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyInputError):
         aggregate([])

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from ordernet import training
 from ordernet.autodiff import Param
 from ordernet.corpus import Document, Vocab, build_instances, build_vocab
-from ordernet.errors import CheckpointError, ConfigError, NumericError
+from ordernet.errors import CheckpointError, ConfigError, InvalidOrderError, NumericError
+from ordernet.model import Order
 from ordernet.training import (
     AdaGradState,
     EpochRecord,
@@ -147,6 +149,15 @@ def test_evaluate_scores_every_instance():
     report = evaluate(model, instances)
     assert report.count == 6
     assert 0.0 <= report.pmr <= 1.0
+
+
+def test_evaluate_rejects_a_fixed_length_order_that_is_no_permutation(monkeypatch):
+    model, docs = tiny_model()
+    instances = build_instances(docs[:2], model.vocab, model.config.seed, 0)
+    monkeypatch.setattr(training, "greedy_decode",
+                        lambda sentences, params, variable: Order((0, 0, 0, 0, 0), False, 0.0))
+    with pytest.raises(InvalidOrderError, match=instances[0].doc_id):
+        evaluate(model, instances)
 
 
 def test_parallel_decoding_matches_serial():
