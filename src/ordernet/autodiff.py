@@ -81,6 +81,13 @@ def lstm_cell(pre, c_prev):
     return gate_out * tanh_c, c, (gate_in, gate_out, gate_forget, candidate, tanh_c)
 
 
+def _view(whole, index):
+    """A Tensor whose value and gradient are views of one row of another's."""
+    row = Tensor(whole.value[index])
+    row.grad = whole.grad[index]
+    return row
+
+
 def _add_outer(outer_terms, target, left, right):
     """target.grad += outer(left, right), deferred into outer_terms for a Param."""
     if not isinstance(target, Param):
@@ -123,11 +130,10 @@ class Graph:
         for _, backward_fn in reversed(self._tape):
             backward_fn()
         # Nothing reads a parameter's gradient during the sweep, so the outer
-        # products deferred by lstm_step are summed here in one call per
-        # weight.  einsum runs in numpy's own loops: a BLAS GEMM would spawn
-        # threads, which slow training severalfold on a busy machine.
+        # products deferred by lstm_step are summed here in one GEMM per
+        # weight.
         for param, lefts, rights in self._outer_terms.values():
-            param.grad += np.einsum("ti,tj->ij", np.stack(lefts), np.stack(rights))
+            param.grad += np.stack(lefts).T @ np.stack(rights)
         self._outer_terms.clear()
 
     # ----- primitives -----
@@ -215,7 +221,7 @@ class Graph:
         matmul, add, narrow, sigmoid, tanh and mul, so values and the
         gradients of x, h_prev, c_prev and b are bit-identical to that
         composition.  When w is a Param, its per-step outer products are
-        summed in one einsum call at the end of backward(), which rounds
+        summed in one GEMM at the end of backward(), which rounds
         differently from adding them one at a time.
         """
         xv, hv, cv, wv, bv = x.value, h_prev.value, c_prev.value, w.value, b.value
@@ -253,6 +259,101 @@ class Graph:
             h_prev.grad += d_xh[k:]
 
         return self._emit(h, backward_fn, (c,)), c
+
+    def lstm_sequence(self, sequences, h0, c0, w, b):
+        """An LSTM run over a batch of ragged sequences as a single op.
+
+        sequences is a list of S non-empty lists of input vectors, h0 and c0
+        the (S, d) starting states, w and b as in lstm_step.  The inputs of
+        every step are projected by one GEMM; then each time index advances
+        the rows still inside their sequence in one batched step, and a row
+        keeps its state once its own sequence ends.  Returns (hidden,
+        finals): hidden[s][t] is row s's hidden state after input t, and
+        finals[s] its last (hidden, cell) pair, all vectors.
+
+        backward() runs the recurrence back by hand, adds the weight
+        gradient as one [x; h_prev]^T @ d_pre GEMM and the bias gradient as
+        one column sum, and adds each input's gradient to that input's own
+        tensor.  Values round differently from a chain of lstm_step calls
+        (the projection splits the [x; h_prev] @ w product in two).
+        """
+        sequences = [list(seq) for seq in sequences]
+        if not sequences:
+            raise EmptyInputError("lstm_sequence of no sequences")
+        if not all(sequences):
+            raise EmptyInputError("lstm_sequence over an empty sequence")
+        inputs = [x for seq in sequences for x in seq]
+        shapes = {x.value.shape for x in inputs}
+        if len(shapes) != 1 or len(inputs[0].value.shape) != 1:
+            raise ShapeError(f"lstm_sequence expects input vectors of one length, got "
+                             f"{sorted(shapes)}")
+        k = inputs[0].value.shape[0]
+        hv, cv, wv, bv = h0.value, c0.value, w.value, b.value
+        rows_total = len(sequences)
+        if hv.ndim != 2 or hv.shape[0] != rows_total or cv.shape != hv.shape:
+            raise ShapeError(f"lstm_sequence expects ({rows_total}, d) states h0 and c0, "
+                             f"got {hv.shape} and {cv.shape}")
+        d = hv.shape[1]
+        if wv.shape != (k + d, 4 * d) or bv.shape != (4 * d,):
+            raise ShapeError(f"lstm_sequence weights {wv.shape} and bias {bv.shape} do not "
+                             f"fit input {k} and state {d}")
+
+        # Sequence s occupies rows offsets[s] .. offsets[s] + len - 1 of the
+        # flat per-input arrays.
+        lengths = np.array([len(seq) for seq in sequences])
+        offsets = np.cumsum(lengths) - lengths
+        x_all = np.stack([x.value for x in inputs])
+        projected = x_all @ wv[:k] + bv
+        w_hidden = wv[k:]
+        h_prev_all = np.empty((len(inputs), d))
+        h_all = np.empty((len(inputs), d))
+        h, c = hv.copy(), cv.copy()
+        steps = []
+        for t in range(lengths.max()):
+            rows = np.flatnonzero(lengths > t)
+            flat = offsets[rows] + t
+            h_prev, c_prev = h[rows], c[rows]
+            h_new, c_new, acts = lstm_cell(projected[flat] + h_prev @ w_hidden, c_prev)
+            h[rows], c[rows] = h_new, c_new
+            h_prev_all[flat] = h_prev
+            h_all[flat] = h_new
+            steps.append((rows, flat, c_prev, acts))
+
+        # The per-step vectors are views into two op outputs, so backward()
+        # zeroes and reads their gradients as whole arrays.
+        hidden_out, cell_out = Tensor(h_all), Tensor(c)
+        views = [_view(hidden_out, n) for n in range(len(inputs))]
+        hidden = [views[o:o + n] for o, n in zip(offsets, lengths)]
+        finals = [(row[-1], _view(cell_out, s)) for s, row in enumerate(hidden)]
+
+        def backward_fn():
+            d_hidden = hidden_out.grad
+            dh = np.zeros_like(hv)
+            dc = cell_out.grad.copy()
+            d_pre_all = np.empty((len(inputs), 4 * d))
+            for rows, flat, c_prev, (gate_in, gate_out, gate_forget, candidate, tanh_c) \
+                    in reversed(steps):
+                g = d_hidden[flat] + dh[rows]
+                dct = dc[rows] + g * gate_out * (1.0 - tanh_c * tanh_c)
+                d_pre = np.concatenate([
+                    dct * candidate * gate_in * (1.0 - gate_in),
+                    g * tanh_c * gate_out * (1.0 - gate_out),
+                    dct * c_prev * gate_forget * (1.0 - gate_forget),
+                    dct * gate_in * (1.0 - candidate * candidate),
+                ], axis=1)
+                d_pre_all[flat] = d_pre
+                dc[rows] = dct * gate_forget
+                dh[rows] = d_pre @ w_hidden.T
+            h0.grad += dh
+            c0.grad += dc
+            b.grad += d_pre_all.sum(axis=0)
+            w.grad += np.concatenate([x_all, h_prev_all], axis=1).T @ d_pre_all
+            d_x = d_pre_all @ wv[:k].T
+            for x, g in zip(inputs, d_x):
+                x.grad += g
+
+        self._emit(hidden_out, backward_fn, (cell_out,))
+        return hidden, finals
 
     def log(self, x):
         if np.any(x.value <= 0.0):

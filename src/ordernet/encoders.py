@@ -3,7 +3,8 @@
 Each encoder maps a sentence (a list of word-embedding tensors) to a single
 vector.  The convolutional encoder applies tanh feature maps of several
 filter widths and max-pools each over time; the recurrent encoder is an LSTM
-whose final hidden state is the sentence vector.
+whose final hidden state is the sentence vector, run over every sentence of
+a document at once.
 """
 
 from __future__ import annotations
@@ -70,6 +71,18 @@ def lstm_step(graph, x, h_prev, c_prev, cell):
     return graph.lstm_step(x, h_prev, c_prev, cell.w, cell.b)
 
 
+def lstm_run(graph, sequences, cell):
+    """Run the cell over each sequence from a zero state, all in one op.
+
+    Returns (hidden, finals) as Graph.lstm_sequence does: every step's
+    hidden state per sequence, and each sequence's last (hidden, cell).
+    """
+    rows = len(sequences)
+    h0 = Tensor(np.zeros((rows, cell.state_dim)))
+    c0 = Tensor(np.zeros((rows, cell.state_dim)))
+    return graph.lstm_sequence(sequences, h0, c0, cell.w, cell.b)
+
+
 class ConvFilter:
     """One filter width of the convolutional encoder."""
 
@@ -126,10 +139,10 @@ def cnn_vector(graph, word_vectors, filters):
 
 def lstm_vector(graph, word_vectors, cell):
     """Final hidden state of an LSTM run over the words, from a zero state."""
-    if not word_vectors:
-        raise EmptyInputError("cannot encode an empty sentence")
-    h = Tensor(np.zeros(cell.state_dim))
-    c = Tensor(np.zeros(cell.state_dim))
-    for x in word_vectors:
-        h, c = lstm_step(graph, x, h, c, cell)
-    return h
+    return lstm_vectors(graph, [word_vectors], cell)[0]
+
+
+def lstm_vectors(graph, sentences, cell):
+    """lstm_vector of every sentence, run as one padded batch."""
+    _, finals = lstm_run(graph, sentences, cell)
+    return [h for h, _ in finals]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Graph, Param, Tensor
+from .autodiff import Graph, Param
 from .corpus import stable_seed
 from .encoders import (
     EncoderConfig,
@@ -23,10 +23,16 @@ from .encoders import (
     cbow_vector,
     cnn_vector,
     create_cnn_filters,
+    lstm_run,
     lstm_step,
-    lstm_vector,
+    lstm_vectors,
 )
 from .errors import EmptyInputError, IndexRangeError, InvalidOrderError
+
+# Not called here (the lstm encoder runs all sentences through lstm_vectors),
+# but bound so that a profiler can wrap every sentence encoder in this
+# namespace (bench/tracing.py does).
+from .encoders import lstm_vector  # noqa: F401
 
 START = -1  # decoder input sentinel for the first step
 
@@ -111,12 +117,13 @@ class PtrNetParams:
         params += [self.attn_w, self.attn_v, self.start_input, self.stop_key]
         return params
 
-    def encode_sentence(self, graph, word_vectors):
+    def encode_sentences(self, graph, word_vectors):
+        """One vector per sentence; the lstm encoder runs them as one batch."""
         if self.encoder.kind == "cbow":
-            return cbow_vector(graph, word_vectors)
+            return [cbow_vector(graph, wv) for wv in word_vectors]
         if self.encoder.kind == "cnn":
-            return cnn_vector(graph, word_vectors, self.cnn_filters)
-        return lstm_vector(graph, word_vectors, self.word_cell)
+            return [cnn_vector(graph, wv, self.cnn_filters) for wv in word_vectors]
+        return lstm_vectors(graph, word_vectors, self.word_cell)
 
 
 @dataclass
@@ -138,15 +145,9 @@ def encode_document(graph, sentences, params):
         [graph.lookup(params.embeddings, t) for t in sentence]
         for sentence in sentences
     ]
-    sentence_vectors = [params.encode_sentence(graph, wv) for wv in word_vectors]
-
-    h = Tensor(np.zeros(params.hidden_dim))
-    c = Tensor(np.zeros(params.hidden_dim))
-    context_hidden = []
-    for vec in sentence_vectors:
-        h, c = lstm_step(graph, vec, h, c, params.context_cell)
-        context_hidden.append(h)
-    return EncodedInstance(word_vectors, sentence_vectors, context_hidden, (h, c))
+    sentence_vectors = params.encode_sentences(graph, word_vectors)
+    (context_hidden,), (final_state,) = lstm_run(graph, [sentence_vectors], params.context_cell)
+    return EncodedInstance(word_vectors, sentence_vectors, context_hidden, final_state)
 
 
 def _projected_keys(graph, encoded, params, allow_stop):

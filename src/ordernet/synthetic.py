@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, OrdernetError
 
 ORDINALS = (
     "first", "second", "third", "fourth", "fifth",
@@ -53,10 +53,14 @@ def topic_fillers(topic_index):
             for j in range(FILLERS_PER_TOPIC)]
 
 
-def generate_documents(count, rng, sentences_per_doc=5, min_fillers=1, max_fillers=3):
-    """List of documents, each a list of sentence strings in gold order."""
+def _check_sentence_count(sentences_per_doc):
     if sentences_per_doc > len(ORDINALS):
         raise ConfigError(f"at most {len(ORDINALS)} sentences per document")
+
+
+def generate_documents(count, rng, sentences_per_doc=5, min_fillers=1, max_fillers=3):
+    """List of documents, each a list of sentence strings in gold order."""
+    _check_sentence_count(sentences_per_doc)
     documents = []
     for _ in range(count):
         k = int(rng.integers(len(TOPICS)))
@@ -82,6 +86,7 @@ def write_corpus(path, documents):
 
 def generate_splits(out_dir, train=500, test=100, seed=7, sentences_per_doc=5):
     """Write train.txt and test.txt under out_dir; returns their paths."""
+    _check_sentence_count(sentences_per_doc)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -101,7 +106,11 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--sentences", type=int, default=5)
     args = parser.parse_args(argv)
-    paths = generate_splits(args.out, args.train, args.test, args.seed, args.sentences)
+    try:
+        paths = generate_splits(args.out, args.train, args.test, args.seed, args.sentences)
+    except OrdernetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for split, path in paths.items():
         print(f"{split}\t{path}")
     return 0

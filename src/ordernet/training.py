@@ -117,11 +117,18 @@ def adagrad_step(params, state):
         p.grad[...] = 0.0
 
 
+def _squared_norm(array):
+    """Sum of squares in numpy's own loop: BLAS splits a long dot product
+    across threads, so its rounding would depend on the thread count."""
+    flat = array.reshape(-1)
+    return float(np.einsum("i,i->", flat, flat))
+
+
 def clip_gradients(params, max_norm):
     """Scale all gradients so their global norm is at most max_norm."""
     total = 0.0
     for p in params:
-        total += float(np.dot(p.grad.reshape(-1), p.grad.reshape(-1)))
+        total += _squared_norm(p.grad)
     norm = float(np.sqrt(total))
     if norm > max_norm:
         factor = max_norm / norm
@@ -153,13 +160,15 @@ def train_epoch(model, documents, epoch, opt_state, noise_pool=None):
         for inst in batch:
             graph = Graph()
             lp = sequence_log_prob(graph, inst.inputs, inst.target, model.params)
+            if not np.isfinite(lp.value):
+                raise NumericError(f"{inst.doc_id}: log-probability is {float(lp.value)}")
             graph.backward(lp, seed=-1.0 / m)
             data_loss += -float(lp.value) / m
         reg = 0.0
         if cfg.reg_lambda:
             for p in params:
                 p.grad += cfg.reg_lambda * p.value
-                reg += float(np.dot(p.value.reshape(-1), p.value.reshape(-1)))
+                reg += _squared_norm(p.value)
         clip_gradients(params, cfg.clip_norm)
         adagrad_step(params, opt_state)
         batch_losses.append(data_loss + 0.5 * cfg.reg_lambda * reg)

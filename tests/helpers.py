@@ -104,6 +104,23 @@ def composed_lstm_step(graph, x, h_prev, c_prev, cell):
     return h, c
 
 
+def stepwise_lstm_sequence(graph, sequences, h0, c0, w, b):
+    """Graph.lstm_sequence as a chain of lstm_step ops, one row at a time.
+
+    Has the op's signature, so a test can swap it in for the method.
+    """
+    hidden, finals = [], []
+    for s, sequence in enumerate(sequences):
+        h, c = graph.lookup(h0, s), graph.lookup(c0, s)
+        row = []
+        for x in sequence:
+            h, c = graph.lstm_step(x, h, c, w, b)
+            row.append(h)
+        hidden.append(row)
+        finals.append((h, c))
+    return hidden, finals
+
+
 def ref_sentence_vector(params, token_ids):
     """Encode one sentence with the configured encoder, in flat numpy."""
     emb = params.embeddings.value

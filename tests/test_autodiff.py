@@ -267,9 +267,16 @@ def _well_scaled(rng, shape):
     return sign * rng.uniform(0.2, 1.0, size=shape)
 
 
+def _sequence_outputs(result):
+    """Every hidden state of an lstm_sequence result, then each final cell."""
+    hidden, finals = result
+    return [h for row in hidden for h in row] + [c for _, c in finals]
+
+
 def test_grad_check_every_primitive_under_1e_5():
     rng = np.random.default_rng(42)
     lstm_rng = np.random.default_rng(44)  # keeps the other cases' draws as they were
+    seq_rng = np.random.default_rng(45)
     worst = {}
     for trial in range(TRIALS):
         a = Tensor(_well_scaled(rng, (3, 4)))
@@ -290,6 +297,14 @@ def test_grad_check_every_primitive_under_1e_5():
         lstm_w = Param("lstm_w", _well_scaled(lstm_rng, (7, 12)))
         lstm_b = Tensor(_well_scaled(lstm_rng, (12,)))
         w_v6 = lstm_rng.normal(size=6)
+        # lstm_sequence: rows of lengths 3, 1 and 2 from a nonzero state.
+        seq_inputs = [[Tensor(_well_scaled(seq_rng, (3,))) for _ in range(n)]
+                      for n in (3, 1, 2)]
+        seq_h0 = Tensor(_well_scaled(seq_rng, (3, 2)))
+        seq_c0 = Tensor(_well_scaled(seq_rng, (3, 2)))
+        seq_w = Param("seq_w", _well_scaled(seq_rng, (5, 8)))
+        seq_b = Tensor(_well_scaled(seq_rng, (8,)))
+        w_v18 = seq_rng.normal(size=18)
 
         cases = {
             "matmul_mm": lambda g: _weighted_sum(g, g.matmul(a, b), w_m),
@@ -315,6 +330,9 @@ def test_grad_check_every_primitive_under_1e_5():
             "pick": lambda g: g.pick(v, 1),
             "lstm_step": lambda g: _weighted_sum(
                 g, g.concat(g.lstm_step(v, u, pos3, lstm_w, lstm_b)), w_v6),
+            "lstm_sequence": lambda g: _weighted_sum(
+                g, g.concat(_sequence_outputs(
+                    g.lstm_sequence(seq_inputs, seq_h0, seq_c0, seq_w, seq_b))), w_v18),
         }
         leaves = {
             "matmul_mm": [a, b], "matmul_vm": [v, b], "matmul_mv": [a, v],
@@ -324,6 +342,8 @@ def test_grad_check_every_primitive_under_1e_5():
             "concat": [v, u], "stack_rows": [v, pos], "narrow": [a],
             "add_rowvec": [a, v], "lookup": [a], "mean_rows": [a], "pick": [v],
             "lstm_step": [v, u, pos3, lstm_w, lstm_b],
+            "lstm_sequence": [x for row in seq_inputs for x in row]
+            + [seq_h0, seq_c0, seq_w, seq_b],
         }
         for name, fn in cases.items():
             err = grad_check(fn, leaves[name])

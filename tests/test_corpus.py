@@ -26,6 +26,7 @@ from ordernet.errors import (
     FormatError,
     NoiseSampleError,
 )
+from ordernet import synthetic
 from ordernet.synthetic import ORDINALS, generate_documents
 
 # ---------------------------------------------------------------------------
@@ -325,3 +326,22 @@ def test_synthetic_documents_are_capped_by_the_ordinal_cues():
     assert len(generate_documents(1, rng, len(ORDINALS))[0]) == len(ORDINALS)
     with pytest.raises(ConfigError):
         generate_documents(1, rng, len(ORDINALS) + 1)
+
+
+def test_synthetic_splits_check_the_sentence_count_before_creating_the_directory(tmp_path):
+    out = tmp_path / "corpus"
+    with pytest.raises(ConfigError):
+        synthetic.generate_splits(out, train=2, test=1, sentences_per_doc=len(ORDINALS) + 1)
+    assert not out.exists()
+
+
+def test_synthetic_script_reports_errors_on_one_line(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    rc = synthetic.main(["--out", str(out), "--sentences", str(len(ORDINALS) + 1)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+    assert synthetic.main(["--out", str(out), "--train", "2", "--test", "1"]) == 0
+    assert (out / "train.txt").exists() and (out / "test.txt").exists()

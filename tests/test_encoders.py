@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import composed_lstm_step, ref_lstm_step
+from helpers import composed_lstm_step, ref_lstm_step, stepwise_lstm_sequence
 
 from ordernet.autodiff import Graph, Param, Tensor, grad_check
 from ordernet.encoders import (
@@ -17,6 +17,7 @@ from ordernet.encoders import (
     create_cnn_filters,
     lstm_step,
     lstm_vector,
+    lstm_vectors,
 )
 from ordernet.errors import ConfigError, EmptyInputError, ShapeError
 
@@ -149,9 +150,12 @@ def test_a_graph_with_lstm_steps_is_freed_without_the_cycle_collector():
         g = Graph()
         h, c = g.lstm_step(Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(np.zeros(2)),
                            cell.w, cell.b)
-        g.backward(g.sum(h))
+        hidden, finals = g.lstm_sequence([[Tensor(np.ones(3)), Tensor(np.ones(3))]],
+                                         Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))),
+                                         cell.w, cell.b)
+        g.backward(g.add(g.sum(h), g.sum(finals[0][1])))
         ref = weakref.ref(g)
-        del g, h, c
+        del g, h, c, hidden, finals
         assert ref() is None
     finally:
         gc.enable()
@@ -167,6 +171,74 @@ def test_fused_lstm_step_rejects_mismatched_shapes():
         g.lstm_step(Tensor(np.zeros(3)), h, Tensor(np.zeros(3)), cell.w, cell.b)
     with pytest.raises(ShapeError):
         g.lstm_step(Tensor(np.zeros(3)), h, c, cell.w, Tensor(np.zeros(7)))
+
+
+def _run_lstm_sequence(run, seed):
+    """A random ragged batch through `run`; every hidden state and final cell
+    feeds the objective.  Returns the values, then the gradients of every
+    input, h0, c0, w and b."""
+    rng = np.random.default_rng(seed)
+    k, d, rows = (int(v) for v in rng.integers(1, 6, size=3))
+    lengths = rng.integers(1, 7, size=rows)
+    cell = LstmCell.create("c", k, d, rng)
+    cell.w.value[...] = rng.normal(scale=0.7, size=cell.w.value.shape)
+    cell.b.value[...] = rng.normal(size=cell.b.value.shape)
+    sequences = [[Param(f"x{s}.{t}", rng.normal(size=k)) for t in range(n)]
+                 for s, n in enumerate(lengths)]
+    h0 = Param("h0", rng.normal(size=(rows, d)))
+    c0 = Param("c0", rng.normal(size=(rows, d)))
+    g = Graph()
+    hidden, finals = run(g, sequences, h0, c0, cell.w, cell.b)
+    outputs = [h for row in hidden for h in row] + [c for _, c in finals]
+    total = None
+    for out in outputs:
+        term = g.matmul(out, Tensor(rng.normal(size=d)))
+        total = term if total is None else g.add(total, term)
+    g.backward(total)
+    leaves = [x for row in sequences for x in row] + [h0, c0, cell.w, cell.b]
+    values = [out.value.copy() for out in outputs] + [h.value.copy() for h, _ in finals]
+    return values, [leaf.grad.copy() for leaf in leaves]
+
+
+def test_lstm_sequence_matches_a_chain_of_lstm_steps():
+    # The op splits [x; h] @ w into an input projection and a recurrent
+    # product, and sums the weight gradient in one GEMM, so it agrees with
+    # the step-by-step chain up to rounding.
+    worst = 0.0
+    for trial in range(40):
+        values, grads = _run_lstm_sequence(Graph.lstm_sequence, trial)
+        ref_values, ref_grads = _run_lstm_sequence(stepwise_lstm_sequence, trial)
+        assert len(values) == len(ref_values) and len(grads) == len(ref_grads)
+        for a, b in zip(values + grads, ref_values + ref_grads):
+            scale = max(np.abs(b).max(), 1e-300)
+            worst = max(worst, np.abs(a - b).max() / scale)
+    assert worst <= 1e-12, f"lstm_sequence differs from the chain by {worst:.3e}"
+
+
+def test_lstm_sequence_rejects_bad_shapes_and_empty_sequences():
+    cell = LstmCell.create("c", 3, 2, np.random.default_rng(0))
+    g = Graph()
+    x = Tensor(np.zeros(3))
+    state = Tensor(np.zeros((2, 2)))
+    with pytest.raises(ShapeError):  # input of the wrong length
+        g.lstm_sequence([[x], [Tensor(np.zeros(4))]], state, state, cell.w, cell.b)
+    with pytest.raises(ShapeError):  # inputs of different lengths
+        g.lstm_sequence([[Tensor(np.zeros(2))], [x]], state, state, cell.w, cell.b)
+    with pytest.raises(ShapeError):  # a matrix input
+        g.lstm_sequence([[Tensor(np.zeros((1, 3)))], [x]], state, state, cell.w, cell.b)
+    with pytest.raises(ShapeError):  # one state row per sequence
+        g.lstm_sequence([[x]], state, state, cell.w, cell.b)
+    with pytest.raises(ShapeError):  # h0 and c0 alike
+        g.lstm_sequence([[x], [x]], state, Tensor(np.zeros((2, 3))), cell.w, cell.b)
+    with pytest.raises(ShapeError):
+        g.lstm_sequence([[x], [x]], state, state, cell.w, Tensor(np.zeros(7)))
+    with pytest.raises(EmptyInputError):
+        g.lstm_sequence([[x], []], state, state, cell.w, cell.b)
+    with pytest.raises(EmptyInputError):
+        g.lstm_sequence([], Tensor(np.zeros((0, 2))), Tensor(np.zeros((0, 2))),
+                        cell.w, cell.b)
+    with pytest.raises(EmptyInputError):
+        lstm_vectors(g, [[x], []], cell)
 
 
 def test_lstm_with_zero_weights_and_biases_stays_at_zero():

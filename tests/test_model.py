@@ -12,6 +12,7 @@ from helpers import (
     ref_context,
     ref_log_prob,
     ref_step_probs,
+    stepwise_lstm_sequence,
     tiny_params,
 )
 
@@ -308,3 +309,25 @@ def test_saliency_with_stop_slot_probes_the_stop_probability():
                       allow_stop=True)
     assert forced.probability == 1.0
     assert all(v == 0.0 for scores in forced.scores for v in scores)
+
+
+def test_lstm_saliency_matches_the_step_by_step_encoder(monkeypatch):
+    # The word and context LSTMs run as one lstm_sequence op each; swapping
+    # in a chain of lstm_step ops must give the same word attributions.
+    rng = np.random.default_rng(11)
+    for trial in range(6):
+        params = tiny_params("lstm", seed=20 + trial)
+        sentences = random_sentences(rng, 12, 3 + trial % 3, max_words=5)
+        n = len(sentences)
+        inst = SimpleNamespace(inputs=sentences, target=list(range(n)))
+        prefix = [int(p) for p in rng.permutation(n)[:trial % n]]
+        batched = saliency(inst, prefix, params)
+        with monkeypatch.context() as patch:
+            patch.setattr(Graph, "lstm_sequence", stepwise_lstm_sequence)
+            stepwise = saliency(inst, prefix, params)
+        assert batched.choice == stepwise.choice
+        assert batched.probability == pytest.approx(stepwise.probability, rel=1e-10)
+        for row, ref_row in zip(batched.scores, stepwise.scores):
+            assert len(row) == len(ref_row)
+            for value, ref in zip(row, ref_row):
+                assert value == pytest.approx(ref, rel=1e-10, abs=1e-300)

@@ -1,5 +1,10 @@
 """Tests for the optimizer, the training loop, and checkpoint persistence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -132,6 +137,73 @@ def test_identical_seeds_train_bit_identically():
         train_epoch(model, docs, 2, state)
     for name, value in params_of(model_a).items():
         assert np.array_equal(value, params_of(model_b)[name]), name
+
+
+def test_a_non_finite_log_probability_stops_training_naming_the_document():
+    model, docs = tiny_model()
+    model.params.embeddings.value[model.vocab.id_of("cue1")] = np.nan
+    state = AdaGradState(model.params.all_params(),
+                         model.config.learning_rate, model.config.adagrad_epsilon)
+    before = params_of(model)
+    with pytest.raises(NumericError, match=r"doc\d+: log-probability is nan"):
+        train_epoch(model, docs, 1, state)
+    # The error comes before any backward pass or update.
+    for p in model.params.all_params():
+        assert not p.grad.any(), p.name
+        assert np.array_equal(p.value, before[p.name], equal_nan=True), p.name
+
+
+# Trains a small lstm model and saves it with its AdaGrad state, then prints
+# the norms clip_gradients reports for eight random 73,728-entry gradients.
+# OpenBLAS splits a dot product longer than 10,000 entries across threads,
+# which changes its rounding about every other time; inside training such a
+# change rarely survives the sum over parameters, so the norms are checked
+# directly as well.
+_THREAD_RUN = """
+import sys
+import numpy as np
+from ordernet.autodiff import Param
+from ordernet.corpus import Document, build_vocab
+from ordernet.training import (
+    AdaGradState, Model, TrainConfig, checkpoint_save, clip_gradients, train_epoch)
+docs = [Document(f"d{i}", [[f"cue{j}", f"w{(i * 7 + j) % 11}"] for j in range(4)])
+        for i in range(12)]
+config = TrainConfig(encoder="lstm", hidden_dim=8, embed_dim=20, recurrent_dim=64,
+                     batch_size=3, adagrad_epsilon=0.1, clip_norm=1e-4, seed=3)
+model = Model.create(config, build_vocab(docs))
+state = AdaGradState(model.params.all_params(), config.learning_rate, config.adagrad_epsilon)
+losses = [train_epoch(model, docs, epoch, state) for epoch in (1, 2)]
+checkpoint_save(sys.argv[1], model, state)
+rng = np.random.default_rng(0)
+norms = []
+for _ in range(8):
+    gradient = Param("g", np.zeros(73728))
+    gradient.grad[...] = rng.normal(size=73728)
+    norms.append(clip_gradients([gradient], 1.0))
+print(" ".join(float(v).hex() for v in losses + norms))
+"""
+
+
+def test_training_is_bit_identical_at_one_and_two_blas_threads(tmp_path):
+    src = str(Path(training.__file__).resolve().parents[1])
+    saved, printed = {}, {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        path = tmp_path / f"threads{threads}.npz"
+        run = subprocess.run([sys.executable, "-c", _THREAD_RUN, str(path)], env=env,
+                             check=True, timeout=300, capture_output=True, text=True)
+        printed[threads] = run.stdout.split()
+        with np.load(path) as data:
+            saved[threads] = {name: data[name] for name in data.files
+                              if name.startswith(("param/", "opt/"))}
+    assert len(printed["1"]) == 10
+    assert printed["1"] == printed["2"]
+    assert saved["1"].keys() == saved["2"].keys()
+    assert any(name.startswith("opt/") for name in saved["1"])
+    for name, value in saved["1"].items():
+        assert np.array_equal(value, saved["2"][name]), name
 
 
 def test_train_returns_history_and_honors_stop_when():
