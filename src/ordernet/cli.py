@@ -13,7 +13,6 @@ import html
 import json
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +37,11 @@ from .training import (
     checkpoint_save,
     decode_instances,
     evaluate,
+    parse_config_value,
     train,
 )
 
-_NOISE_ALIASES = {"none": "none", "one": "always_one", "always_one": "always_one",
-                  "half": "half"}
-
 _PATH_KEYS = ("train", "dev", "test", "input", "embeddings", "checkpoint", "out", "log")
-
-_CONFIG_FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 
 
 def parse_config_file(path):
@@ -66,34 +61,6 @@ def parse_config_file(path):
     return entries
 
 
-def _parse_bool(value, context):
-    lowered = str(value).lower()
-    if lowered in ("on", "true", "1", "yes"):
-        return True
-    if lowered in ("off", "false", "0", "no"):
-        return False
-    raise ConfigError(f"{context}: expected on/off, got {value!r}")
-
-
-def _coerce_config_value(key, value):
-    if key == "filter_lengths":
-        return tuple(int(v) for v in str(value).replace(",", " ").split())
-    if key == "fixed_length":
-        return _parse_bool(value, key)
-    if key == "noise_mode":
-        if str(value) not in _NOISE_ALIASES:
-            raise ConfigError(f"noise_mode must be one of none/one/half, got {value!r}")
-        return _NOISE_ALIASES[str(value)]
-    if key == "encoder":
-        return str(value)
-    kind = _CONFIG_FIELD_TYPES[key]
-    if kind in ("int", int):
-        return int(value)
-    if kind in ("float", float):
-        return float(value)
-    return value
-
-
 def resolve_config(args):
     """Merge defaults, config file entries, and explicit flags.
 
@@ -106,10 +73,8 @@ def resolve_config(args):
         for key, value in parse_config_file(args.config).items():
             if key in paths:
                 paths[key] = value
-            elif key in _CONFIG_FIELD_TYPES:
-                settings[key] = _coerce_config_value(key, value)
             else:
-                raise ConfigError(f"unknown config key {key!r}")
+                settings[key] = parse_config_value(key, value)
 
     flag_map = {
         "seed": "seed", "encoder": "encoder", "beam": "beam_size",
@@ -120,9 +85,9 @@ def resolve_config(args):
         if value is not None:
             settings[key] = value
     if getattr(args, "noise", None) is not None:
-        settings["noise_mode"] = _NOISE_ALIASES[args.noise]
+        settings["noise_mode"] = parse_config_value("noise_mode", args.noise)
     if getattr(args, "fixed_length", None) is not None:
-        settings["fixed_length"] = _parse_bool(args.fixed_length, "--fixed-length")
+        settings["fixed_length"] = parse_config_value("fixed_length", args.fixed_length)
     for key in _PATH_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -216,8 +181,8 @@ def cmd_eval(args):
     cfg = model.config
     corpus = _load_split(args.test or args.input, "test")
     seed = args.seed if args.seed is not None else cfg.seed
-    noise_mode = _NOISE_ALIASES[args.noise] if args.noise else None
-    fixed_length = (_parse_bool(args.fixed_length, "--fixed-length")
+    noise_mode = parse_config_value("noise_mode", args.noise) if args.noise else None
+    fixed_length = (parse_config_value("fixed_length", args.fixed_length)
                     if args.fixed_length else None)
     instances = _eval_instances(model, corpus.documents, seed, noise_mode, fixed_length)
 

@@ -65,7 +65,7 @@ class BatchDecoder:
             raise IndexRangeError(f"chosen positions {chosen} outside {self.n} inputs")
         x = self.inputs[chosen + 1]
         pre = np.concatenate([x, hidden], axis=1) @ self.cell_w + self.cell_b
-        hidden, cell, _ = lstm_cell(pre, cell)
+        hidden, cell, _, _ = lstm_cell(pre, cell)
         return hidden, cell
 
     def log_probs(self, hidden, mask):

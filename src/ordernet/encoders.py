@@ -1,10 +1,13 @@
 """Sentence encoders: averaged bag of words, convolutional, and recurrent.
 
-Each encoder maps a sentence (a list of word-embedding tensors) to a single
-vector.  The convolutional encoder applies tanh feature maps of several
-filter widths and max-pools each over time; the recurrent encoder is an LSTM
-whose final hidden state is the sentence vector, run over every sentence of
-a document at once.
+Each encoder maps a sentence to a single vector, and runs as one op over
+any number of sentences: the words of every sentence are the rows of one
+matrix, each sentence a run of `lengths[s]` consecutive rows, and the
+sentence vectors come out as the rows of another.  The averaging encoder is
+a segment mean; the convolutional encoder applies tanh feature maps of
+several filter widths and max-pools each over time; the recurrent encoder
+is an LSTM whose final hidden state is the sentence vector.  The *_vector
+functions encode a single sentence given as a list of word tensors.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Param, Tensor
+from .autodiff import Param, Tensor, row_view
 from .errors import ConfigError, EmptyInputError
 
 ENCODER_KINDS = ("cbow", "cnn", "lstm")
@@ -71,16 +74,13 @@ def lstm_step(graph, x, h_prev, c_prev, cell):
     return graph.lstm_step(x, h_prev, c_prev, cell.w, cell.b)
 
 
-def lstm_run(graph, sequences, cell):
-    """Run the cell over each sequence from a zero state, all in one op.
+def lstm_run(graph, x, lengths, cell, keep_hidden=True):
+    """Run the cell over each run of rows of x from a zero state, in one op.
 
-    Returns (hidden, finals) as Graph.lstm_sequence does: every step's
-    hidden state per sequence, and each sequence's last (hidden, cell).
+    Returns (hidden, final_h, final_c) as Graph.lstm_sequence does.
     """
-    rows = len(sequences)
-    h0 = Tensor(np.zeros((rows, cell.state_dim)))
-    c0 = Tensor(np.zeros((rows, cell.state_dim)))
-    return graph.lstm_sequence(sequences, h0, c0, cell.w, cell.b)
+    zeros = Tensor(np.zeros((len(lengths), cell.state_dim)))
+    return graph.lstm_sequence(x, lengths, zeros, zeros, cell.w, cell.b, keep_hidden)
 
 
 class ConvFilter:
@@ -106,43 +106,43 @@ def create_cnn_filters(name, config, rng):
     return filters
 
 
-def cbow_vector(graph, word_vectors):
-    """Plain average of the word vectors."""
-    if not word_vectors:
-        raise EmptyInputError("cannot encode an empty sentence")
-    return graph.mean_rows(graph.stack_rows(word_vectors))
+def cbow_vectors(graph, words, lengths):
+    """Plain average of each sentence's word vectors."""
+    return graph.mean_rows(words, lengths)
 
 
-def cnn_vector(graph, word_vectors, filters):
-    """Max-over-time tanh feature maps, one block per filter width.
+def cnn_vectors(graph, words, lengths, filters):
+    """Max-over-time tanh feature maps, one block of columns per filter width.
 
     Sentences shorter than a filter width are zero-padded up to it, which
     yields exactly one window for that width.
     """
+    return graph.conv_max(words, lengths, [(f.width, f.w, f.b) for f in filters])
+
+
+def lstm_vectors(graph, words, lengths, cell):
+    """Final hidden state of an LSTM run over each sentence's words."""
+    _, final_h, _ = lstm_run(graph, words, lengths, cell, keep_hidden=False)
+    return final_h
+
+
+def _one_sentence(encode, graph, word_vectors, *args):
     if not word_vectors:
         raise EmptyInputError("cannot encode an empty sentence")
-    embed_dim = word_vectors[0].value.shape[0]
-    pooled = []
-    for f in filters:
-        vecs = list(word_vectors)
-        while len(vecs) < f.width:
-            vecs.append(Tensor(np.zeros(embed_dim)))
-        windows = [
-            graph.concat(vecs[k:k + f.width])
-            for k in range(len(vecs) - f.width + 1)
-        ]
-        feature_rows = graph.tanh(
-            graph.add_rowvec(graph.matmul(graph.stack_rows(windows), f.w), f.b))
-        pooled.append(graph.max_over_time(feature_rows))
-    return graph.concat(pooled)
+    words = graph.stack_rows(word_vectors)
+    return row_view(encode(graph, words, [len(word_vectors)], *args), 0)
+
+
+def cbow_vector(graph, word_vectors):
+    """cbow_vectors of one sentence given as a list of word tensors."""
+    return _one_sentence(cbow_vectors, graph, word_vectors)
+
+
+def cnn_vector(graph, word_vectors, filters):
+    """cnn_vectors of one sentence given as a list of word tensors."""
+    return _one_sentence(cnn_vectors, graph, word_vectors, filters)
 
 
 def lstm_vector(graph, word_vectors, cell):
-    """Final hidden state of an LSTM run over the words, from a zero state."""
-    return lstm_vectors(graph, [word_vectors], cell)[0]
-
-
-def lstm_vectors(graph, sentences, cell):
-    """lstm_vector of every sentence, run as one padded batch."""
-    _, finals = lstm_run(graph, sentences, cell)
-    return [h for h, _ in finals]
+    """lstm_vectors of one sentence given as a list of word tensors."""
+    return _one_sentence(lstm_vectors, graph, word_vectors, cell)

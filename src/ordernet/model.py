@@ -7,6 +7,13 @@ attention: the logit of position j at step i is v . tanh(W^T [e_j ; d_i]),
 with a separate learned key standing in for the stop action when
 variable-length output is enabled.  Already chosen positions are masked out,
 so emitted orders can never repeat a position.
+
+The loss is defined once, for a whole minibatch on one graph:
+batch_log_probs encodes every document, runs the teacher-forced decoder of
+all of them as one LSTM op and scores every pointing step with one
+attention op.  sequence_log_prob and encode_document are its one-document
+cases; advance_decoder and decode_step step a single decoder state, for
+saliency.
 """
 
 from __future__ import annotations
@@ -15,24 +22,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Graph, Param
+from .autodiff import Graph, Param, Tensor, row_view
 from .corpus import stable_seed
 from .encoders import (
     EncoderConfig,
     LstmCell,
-    cbow_vector,
-    cnn_vector,
+    cbow_vectors,
+    cnn_vectors,
     create_cnn_filters,
     lstm_run,
     lstm_step,
     lstm_vectors,
 )
-from .errors import EmptyInputError, IndexRangeError, InvalidOrderError
+from .errors import EmptyInputError, IndexRangeError, InvalidOrderError, NumericError
 
-# Not called here (the lstm encoder runs all sentences through lstm_vectors),
-# but bound so that a profiler can wrap every sentence encoder in this
+# Not called here (every sentence of a batch is encoded by one op), but
+# bound so that a profiler can wrap every sentence encoder in this
 # namespace (bench/tracing.py does).
-from .encoders import lstm_vector  # noqa: F401
+from .encoders import cbow_vector, cnn_vector, lstm_vector  # noqa: F401
 
 START = -1  # decoder input sentinel for the first step
 
@@ -117,13 +124,61 @@ class PtrNetParams:
         params += [self.attn_w, self.attn_v, self.start_input, self.stop_key]
         return params
 
-    def encode_sentences(self, graph, word_vectors):
-        """One vector per sentence; the lstm encoder runs them as one batch."""
+    def encode_sentences(self, graph, words, lengths):
+        """One vector per sentence, as the rows of one matrix.
+
+        words holds every word embedding, one row each, and sentence s is
+        the next lengths[s] rows.
+        """
         if self.encoder.kind == "cbow":
-            return [cbow_vector(graph, wv) for wv in word_vectors]
+            return cbow_vectors(graph, words, lengths)
         if self.encoder.kind == "cnn":
-            return [cnn_vector(graph, wv, self.cnn_filters) for wv in word_vectors]
-        return lstm_vectors(graph, word_vectors, self.word_cell)
+            return cnn_vectors(graph, words, lengths, self.cnn_filters)
+        return lstm_vectors(graph, words, lengths, self.word_cell)
+
+
+@dataclass
+class BatchEncoding:
+    """Encoder outputs for a batch of documents, stacked over the batch.
+
+    Row blocks follow the documents in order: document b's sentences are
+    doc_lengths[b] consecutive rows of sentences and context, starting at
+    row doc_offsets[b].
+    """
+
+    words: Tensor              # (words, embed) every word use, sentence by sentence
+    sentence_lengths: np.ndarray
+    sentences: Tensor          # (sentences, sent_dim) one vector per sentence
+    doc_lengths: np.ndarray
+    doc_offsets: np.ndarray
+    context: Tensor            # (sentences, hidden) encoder states e_1..e_n
+    final_h: Tensor            # (documents, hidden) state after each last sentence
+    final_c: Tensor
+
+
+def encode_batch(graph, documents, params):
+    """Run the sentence encoders and the context LSTM over a batch of documents.
+
+    documents is a list of documents, each a list of sentences of token
+    ids, read in their given order.  One embedding lookup covers every word
+    and each encoder is one op over all sentences of the batch.
+    """
+    if not documents:
+        raise EmptyInputError("cannot encode an empty batch")
+    if not all(documents):
+        raise EmptyInputError("cannot encode a document with no sentences")
+    sentences = [sentence for doc in documents for sentence in doc]
+    sentence_lengths = np.array([len(sentence) for sentence in sentences])
+    if sentence_lengths.min() == 0:
+        raise EmptyInputError("cannot encode an empty sentence")
+    ids = np.fromiter((t for sentence in sentences for t in sentence), dtype=np.intp,
+                      count=int(sentence_lengths.sum()))
+    words = graph.lookup(params.embeddings, ids)
+    vectors = params.encode_sentences(graph, words, sentence_lengths)
+    doc_lengths = np.array([len(doc) for doc in documents])
+    context, final_h, final_c = lstm_run(graph, vectors, doc_lengths, params.context_cell)
+    return BatchEncoding(words, sentence_lengths, vectors, doc_lengths,
+                         np.cumsum(doc_lengths) - doc_lengths, context, final_h, final_c)
 
 
 @dataclass
@@ -138,15 +193,15 @@ class EncodedInstance:
 
 
 def encode_document(graph, sentences, params):
-    """Run the sentence encoders and the context LSTM over the given order."""
-    if not sentences:
-        raise EmptyInputError("cannot encode a document with no sentences")
-    word_vectors = [
-        [graph.lookup(params.embeddings, t) for t in sentence]
-        for sentence in sentences
-    ]
-    sentence_vectors = params.encode_sentences(graph, word_vectors)
-    (context_hidden,), (final_state,) = lstm_run(graph, [sentence_vectors], params.context_cell)
+    """encode_batch of one document, with every output split into row views."""
+    batch = encode_batch(graph, [sentences], params)
+    starts = np.cumsum(batch.sentence_lengths) - batch.sentence_lengths
+    word_vectors = [[row_view(batch.words, start + j) for j in range(length)]
+                    for start, length in zip(starts, batch.sentence_lengths)]
+    n = len(sentences)
+    sentence_vectors = [row_view(batch.sentences, i) for i in range(n)]
+    context_hidden = [row_view(batch.context, i) for i in range(n)]
+    final_state = (row_view(batch.final_h, 0), row_view(batch.final_c, 0))
     return EncodedInstance(word_vectors, sentence_vectors, context_hidden, final_state)
 
 
@@ -208,47 +263,71 @@ def validate_target(target, n_inputs):
     return has_stop
 
 
-def sequence_log_prob(graph, sentences, target, params):
-    """Log-probability of emitting `target` with teacher forcing.
+def batch_log_probs(graph, documents, targets, params):
+    """Teacher-forced log-probability of each document's target, as a (B,) tensor.
 
-    The stop step is included when the target ends with the stop index
-    (len(sentences)); that also switches the candidate set to variable-length
-    mode for every step.
+    A target ending with the stop index (the document's sentence count)
+    includes the stop step and puts that document in variable-length mode.
+    The whole batch is one graph: encode_batch, the decoder LSTM over
+    every document's teacher-forced inputs (START, then the vector of each
+    target sentence but the last) as one lstm_sequence op from the context
+    LSTM's final states, and one pointer_log_probs op for every step.
     """
-    n = len(sentences)
-    allow_stop = validate_target(target, n)
-    encoded = encode_document(graph, sentences, params)
+    if len(documents) != len(targets):
+        raise InvalidOrderError(f"{len(documents)} documents but {len(targets)} targets")
+    allow_stop = [validate_target(target, len(doc)) for doc, target in zip(documents, targets)]
+    batch = encode_batch(graph, documents, params)
+    n_sentences = len(batch.sentence_lengths)
 
-    state = encoded.final_state
-    mask = np.zeros(n + 1 if allow_stop else n, dtype=bool)
-    previous = START
-    total = None
-    for t in target:
-        state = advance_decoder(graph, state, previous, encoded, params)
-        probs = decode_step(graph, state[0], encoded, mask, params, allow_stop)
-        term = graph.log(graph.pick(probs, t))
-        total = term if total is None else graph.add(total, term)
-        if t < n:
-            mask[t] = True
-            previous = t
-    return total
+    # Row 0 of the decoder's input table is START, row 1 + i sentence i.
+    inputs = graph.stack_rows([params.start_input, batch.sentences])
+    input_rows = np.fromiter(
+        (row for offset, target in zip(batch.doc_offsets, targets)
+         for row in [0] + [1 + offset + p for p in target[:-1]]),
+        dtype=np.intp, count=sum(len(target) for target in targets))
+    queries, _, _ = graph.lstm_sequence(
+        graph.lookup(inputs, input_rows), [len(target) for target in targets],
+        batch.final_h, batch.final_c, params.decoder_cell.w, params.decoder_cell.b)
+
+    # Key row n_sentences is the stop key, the last slot of a document
+    # decoded in variable-length mode.
+    keys = graph.stack_rows([batch.context, params.stop_key])
+    slots = np.full((len(documents), batch.doc_lengths.max() + 1), -1)
+    steps = np.full((len(documents), max(len(target) for target in targets)), -1)
+    for b, (offset, n, target) in enumerate(zip(batch.doc_offsets, batch.doc_lengths, targets)):
+        slots[b, :n] = np.arange(offset, offset + n)
+        if allow_stop[b]:
+            slots[b, n] = n_sentences
+        steps[b, :len(target)] = target
+    return graph.pointer_log_probs(keys, slots, queries, steps, params.attn_w, params.attn_v)
+
+
+def sequence_log_prob(graph, sentences, target, params):
+    """batch_log_probs of one document, as a scalar tensor."""
+    return graph.pick(batch_log_probs(graph, [sentences], [list(target)], params), 0)
 
 
 def batch_loss(graph, instances, params, reg_lambda):
-    """Mean negative log-likelihood plus (reg_lambda / 2) * ||params||^2."""
+    """Mean negative log-likelihood plus (reg_lambda / 2) * ||params||^2.
+
+    Raises NumericError naming the first instance (by doc_id) whose
+    log-probability is not finite, before anything is differentiated.
+    """
     if not instances:
         raise EmptyInputError("loss over an empty batch")
-    total = None
-    for inst in instances:
-        lp = sequence_log_prob(graph, inst.inputs, inst.target, params)
-        total = lp if total is None else graph.add(total, lp)
-    loss = graph.scale(total, -1.0 / len(instances))
-    if reg_lambda:
-        sq = None
-        for p in params.all_params():
-            term = graph.sum(graph.mul(p, p))
-            sq = term if sq is None else graph.add(sq, term)
-        loss = graph.add(loss, graph.scale(sq, reg_lambda / 2.0))
+    # The penalty goes on the tape first, so backward() adds its gradient
+    # last, after every other op's scratch arrays are gone.
+    penalty = graph.sum_squares(params.all_params()) if reg_lambda else None
+    log_probs = batch_log_probs(graph, [inst.inputs for inst in instances],
+                                [inst.target for inst in instances], params)
+    bad = np.flatnonzero(~np.isfinite(log_probs.value))
+    if bad.size:
+        inst = instances[bad[0]]
+        name = getattr(inst, "doc_id", f"instance {bad[0]}")
+        raise NumericError(f"{name}: log-probability is {float(log_probs.value[bad[0]])}")
+    loss = graph.scale(graph.sum(log_probs), -1.0 / len(instances))
+    if penalty is not None:
+        loss = graph.add(loss, graph.scale(penalty, reg_lambda / 2.0))
     return loss
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import os
 import time
 import zipfile
@@ -16,17 +17,37 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .autodiff import Graph
+from .autodiff import Graph, squared_norm
 from .corpus import Vocab, build_instances, noise_pool_of, stable_seed
 from .encoders import EncoderConfig
 from .errors import CheckpointError, ConfigError, InvalidOrderError, NumericError
 from .decoding import beam_decode, greedy_decode
 from .metrics import MetricsReport, aggregate
-from .model import PtrNetParams, sequence_log_prob
+from .model import PtrNetParams, batch_loss
+
+# Not called here (training runs batch_loss), but bound so that a profiler
+# can wrap it in this namespace (bench/tracing.py does).
+from .model import sequence_log_prob  # noqa: F401
 
 CHECKPOINT_FORMAT = "ordernet-checkpoint-v1"
 
 NOISE_MODES = ("none", "always_one", "half")
+
+# Names a config file or flag may give a noise mode.
+_NOISE_ALIASES = {"none": "none", "one": "always_one", "always_one": "always_one",
+                 "half": "half"}
+
+_SIZES = ("hidden_dim", "feature_maps", "recurrent_dim", "embed_dim", "beam_size",
+          "batch_size", "epochs")
+_POSITIVE_RATES = ("learning_rate", "clip_norm", "adagrad_epsilon")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -53,6 +74,18 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "filter_lengths", tuple(self.filter_lengths))
+        for name in _SIZES:
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (self.filter_lengths and all(_is_int(w) and w >= 1 for w in self.filter_lengths)):
+            raise ConfigError(f"filter_lengths must be integers >= 1, got {self.filter_lengths!r}")
+        for name in _POSITIVE_RATES:
+            value = getattr(self, name)
+            if not (_is_real(value) and value > 0):
+                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+        if not (_is_real(self.reg_lambda) and self.reg_lambda >= 0):
+            raise ConfigError(f"reg_lambda must be a finite number >= 0, got {self.reg_lambda!r}")
         if self.noise_mode not in NOISE_MODES:
             raise ConfigError(f"unknown noise mode {self.noise_mode!r}")
         if self.fixed_length and self.noise_mode != "none":
@@ -74,11 +107,65 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**{key: parse_config_value(key, value) for key, value in d.items()})
+
+
+def _parse_int(value):
+    if isinstance(value, str):
+        return int(value.strip())
+    if not _is_int(value):
+        raise ValueError("not an integer")
+    return value
+
+
+def _parse_float(value):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError("not a number")
+    return float(value)
+
+
+def _parse_bool(value):
+    if isinstance(value, bool):
+        return value
+    lowered = str(value).strip().lower()
+    if lowered in ("on", "true", "1", "yes"):
+        return True
+    if lowered in ("off", "false", "0", "no"):
+        return False
+    raise ValueError("expected on/off")
+
+
+def _parse_filter_lengths(value):
+    if isinstance(value, str):
+        value = value.replace(",", " ").split()
+    return tuple(_parse_int(v) for v in value)
+
+
+def _parse_noise_mode(value):
+    if value not in _NOISE_ALIASES:
+        raise ValueError("expected none, one or half")
+    return _NOISE_ALIASES[value]
+
+
+_FIELD_KINDS = {f.name: f.type for f in fields(TrainConfig)}  # annotations, as text
+_FIELD_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool, "str": str}
+_KEY_PARSERS = {"filter_lengths": _parse_filter_lengths, "noise_mode": _parse_noise_mode}
+
+
+def parse_config_value(key, value):
+    """One TrainConfig setting from config-file text or a stored value.
+
+    Config files, command-line flags and checkpoints all read settings
+    through this function; text that does not parse raises ConfigError
+    naming the key.  Ranges are checked when the TrainConfig is built.
+    """
+    if key not in _FIELD_KINDS:
+        raise ConfigError(f"unknown config key {key!r}")
+    parse = _KEY_PARSERS.get(key) or _FIELD_PARSERS[_FIELD_KINDS[key]]
+    try:
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: cannot read {value!r} ({exc})") from None
 
 
 @dataclass
@@ -117,18 +204,11 @@ def adagrad_step(params, state):
         p.grad[...] = 0.0
 
 
-def _squared_norm(array):
-    """Sum of squares in numpy's own loop: BLAS splits a long dot product
-    across threads, so its rounding would depend on the thread count."""
-    flat = array.reshape(-1)
-    return float(np.einsum("i,i->", flat, flat))
-
-
 def clip_gradients(params, max_norm):
     """Scale all gradients so their global norm is at most max_norm."""
     total = 0.0
     for p in params:
-        total += _squared_norm(p.grad)
+        total += squared_norm(p.grad)
     norm = float(np.sqrt(total))
     if norm > max_norm:
         factor = max_norm / norm
@@ -155,24 +235,22 @@ def train_epoch(model, documents, epoch, opt_state, noise_pool=None):
     batch_losses = []
     for lo in range(0, len(order), cfg.batch_size):
         batch = [instances[i] for i in order[lo:lo + cfg.batch_size]]
-        m = len(batch)
-        data_loss = 0.0
-        for inst in batch:
-            graph = Graph()
-            lp = sequence_log_prob(graph, inst.inputs, inst.target, model.params)
-            if not np.isfinite(lp.value):
-                raise NumericError(f"{inst.doc_id}: log-probability is {float(lp.value)}")
-            graph.backward(lp, seed=-1.0 / m)
-            data_loss += -float(lp.value) / m
-        reg = 0.0
-        if cfg.reg_lambda:
-            for p in params:
-                p.grad += cfg.reg_lambda * p.value
-                reg += _squared_norm(p.value)
+        batch_losses.append(_accumulate_gradients(model.params, batch, cfg.reg_lambda))
         clip_gradients(params, cfg.clip_norm)
         adagrad_step(params, opt_state)
-        batch_losses.append(data_loss + 0.5 * cfg.reg_lambda * reg)
     return float(np.mean(batch_losses))
+
+
+def _accumulate_gradients(params, batch, reg_lambda):
+    """Add d batch_loss / d params to every gradient; returns the loss.
+
+    The batch's graph lives only inside this call, so its stored
+    activations are freed before the optimizer allocates anything.
+    """
+    graph = Graph()
+    loss = batch_loss(graph, batch, params, reg_lambda)
+    graph.backward(loss)
+    return float(loss.value)
 
 
 # ----- evaluation -----

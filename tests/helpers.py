@@ -14,16 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ordernet.autodiff import Graph
+from ordernet.autodiff import Graph, Tensor
 from ordernet.encoders import EncoderConfig
-from ordernet.errors import IndexRangeError
+from ordernet.errors import EmptyInputError, IndexRangeError
 from ordernet.model import (
     START,
+    EncodedInstance,
     Order,
     PtrNetParams,
     advance_decoder,
     decode_step,
     encode_document,
+    validate_target,
 )
 
 # ---------------------------------------------------------------------------
@@ -104,21 +106,23 @@ def composed_lstm_step(graph, x, h_prev, c_prev, cell):
     return h, c
 
 
-def stepwise_lstm_sequence(graph, sequences, h0, c0, w, b):
+def stepwise_lstm_sequence(graph, x, lengths, h0, c0, w, b, keep_hidden=True):
     """Graph.lstm_sequence as a chain of lstm_step ops, one row at a time.
 
     Has the op's signature, so a test can swap it in for the method.
     """
-    hidden, finals = [], []
-    for s, sequence in enumerate(sequences):
+    hidden, final_h, final_c = [], [], []
+    start = 0
+    for s, length in enumerate(lengths):
         h, c = graph.lookup(h0, s), graph.lookup(c0, s)
-        row = []
-        for x in sequence:
-            h, c = graph.lstm_step(x, h, c, w, b)
-            row.append(h)
-        hidden.append(row)
-        finals.append((h, c))
-    return hidden, finals
+        for t in range(length):
+            h, c = graph.lstm_step(graph.lookup(x, start + t), h, c, w, b)
+            hidden.append(h)
+        final_h.append(h)
+        final_c.append(c)
+        start += length
+    return (graph.stack_rows(hidden) if keep_hidden else None,
+            graph.stack_rows(final_h), graph.stack_rows(final_c))
 
 
 def ref_sentence_vector(params, token_ids):
@@ -202,6 +206,91 @@ def ref_log_prob(params, sentences, target):
             mask[t] = True
             x = sent_vecs[t]
     return total
+
+
+# ---------------------------------------------------------------------------
+# reference loss (one Graph per document, one op per word and step)
+# ---------------------------------------------------------------------------
+
+def composed_cnn_vector(graph, word_vectors, filters):
+    """One sentence through the convolutional encoder, one op per window."""
+    embed_dim = word_vectors[0].value.shape[0]
+    pooled = []
+    for f in filters:
+        vecs = list(word_vectors)
+        while len(vecs) < f.width:
+            vecs.append(Tensor(np.zeros(embed_dim)))
+        windows = [graph.concat(vecs[k:k + f.width]) for k in range(len(vecs) - f.width + 1)]
+        features = graph.tanh(graph.add_rowvec(graph.matmul(graph.stack_rows(windows), f.w), f.b))
+        pooled.append(graph.max_over_time(features))
+    return graph.concat(pooled)
+
+
+def _lstm_chain(graph, inputs, cell, dim):
+    h, c = Tensor(np.zeros(dim)), Tensor(np.zeros(dim))
+    hidden = []
+    for x in inputs:
+        h, c = graph.lstm_step(x, h, c, cell.w, cell.b)
+        hidden.append(h)
+    return hidden, (h, c)
+
+
+def ref_encode_document(graph, sentences, params):
+    """encode_document for one document, one lookup per word and one
+    lstm_step per LSTM input."""
+    if not sentences or not all(sentences):
+        raise EmptyInputError("empty document or sentence")
+    word_vectors = [[graph.lookup(params.embeddings, t) for t in s] for s in sentences]
+    kind = params.encoder.kind
+    if kind == "cbow":
+        vectors = [graph.mean_rows(graph.stack_rows(words)) for words in word_vectors]
+    elif kind == "cnn":
+        vectors = [composed_cnn_vector(graph, words, params.cnn_filters) for words in word_vectors]
+    else:
+        vectors = [_lstm_chain(graph, words, params.word_cell, params.word_cell.state_dim)[1][0]
+                   for words in word_vectors]
+    hidden, final = _lstm_chain(graph, vectors, params.context_cell, params.hidden_dim)
+    return EncodedInstance(word_vectors, vectors, hidden, final)
+
+
+def ref_sequence_log_prob(graph, sentences, target, params):
+    """Teacher-forced log-probability of one target, stepping the decoder
+    with model.advance_decoder and model.decode_step."""
+    n = len(sentences)
+    allow_stop = validate_target(target, n)
+    encoded = ref_encode_document(graph, sentences, params)
+    state = encoded.final_state
+    mask = np.zeros(n + 1 if allow_stop else n, dtype=bool)
+    previous = START
+    total = None
+    for t in target:
+        state = advance_decoder(graph, state, previous, encoded, params)
+        probs = decode_step(graph, state[0], encoded, mask, params, allow_stop)
+        term = graph.log(graph.pick(probs, t))
+        total = term if total is None else graph.add(total, term)
+        if t < n:
+            mask[t] = True
+            previous = t
+    return total
+
+
+def ref_batch_loss(params, instances, reg_lambda):
+    """model.batch_loss as a loop of per-document graphs and backward passes.
+
+    Adds the gradients to the parameters and returns the loss value.
+    """
+    m = len(instances)
+    loss = 0.0
+    for inst in instances:
+        graph = Graph()
+        lp = ref_sequence_log_prob(graph, inst.inputs, inst.target, params)
+        graph.backward(lp, seed=-1.0 / m)
+        loss += -float(lp.value) / m
+    penalty = 0.0
+    for p in params.all_params():
+        p.grad += reg_lambda * p.value
+        penalty += float(np.sum(p.value * p.value))
+    return loss + 0.5 * reg_lambda * penalty
 
 
 # ---------------------------------------------------------------------------

@@ -267,16 +267,17 @@ def _well_scaled(rng, shape):
     return sign * rng.uniform(0.2, 1.0, size=shape)
 
 
-def _sequence_outputs(result):
-    """Every hidden state of an lstm_sequence result, then each final cell."""
-    hidden, finals = result
-    return [h for row in hidden for h in row] + [c for _, c in finals]
+def _sequence_outputs(graph, result):
+    """Every hidden state of an lstm_sequence result, then the final states."""
+    hidden, final_h, final_c = result
+    return graph.stack_rows([hidden, final_h, final_c])
 
 
 def test_grad_check_every_primitive_under_1e_5():
     rng = np.random.default_rng(42)
     lstm_rng = np.random.default_rng(44)  # keeps the other cases' draws as they were
     seq_rng = np.random.default_rng(45)
+    batch_rng = np.random.default_rng(46)
     worst = {}
     for trial in range(TRIALS):
         a = Tensor(_well_scaled(rng, (3, 4)))
@@ -298,13 +299,27 @@ def test_grad_check_every_primitive_under_1e_5():
         lstm_b = Tensor(_well_scaled(lstm_rng, (12,)))
         w_v6 = lstm_rng.normal(size=6)
         # lstm_sequence: rows of lengths 3, 1 and 2 from a nonzero state.
-        seq_inputs = [[Tensor(_well_scaled(seq_rng, (3,))) for _ in range(n)]
-                      for n in (3, 1, 2)]
+        seq_x = Tensor(_well_scaled(seq_rng, (6, 3)))
         seq_h0 = Tensor(_well_scaled(seq_rng, (3, 2)))
         seq_c0 = Tensor(_well_scaled(seq_rng, (3, 2)))
         seq_w = Param("seq_w", _well_scaled(seq_rng, (5, 8)))
         seq_b = Tensor(_well_scaled(seq_rng, (8,)))
-        w_v18 = seq_rng.normal(size=18)
+        w_12_2 = seq_rng.normal(size=(12, 2))
+        # The batched ops: segments of 1 and 4 rows, filters of widths 2
+        # and 3, and two pointer rows (the second stops at once) sharing
+        # key 3 as their stop slot.
+        conv_x = Tensor(_well_scaled(batch_rng, (5, 2)))
+        conv_filters = [(width, Param(f"conv_w{width}", _well_scaled(batch_rng, (2 * width, 2))),
+                         Tensor(_well_scaled(batch_rng, (2,)))) for width in (2, 3)]
+        keys = Tensor(_well_scaled(batch_rng, (4, 3)))
+        queries = Tensor(_well_scaled(batch_rng, (4, 3)))
+        attn_w = Param("attn_w", _well_scaled(batch_rng, (6, 3)))
+        attn_v = Tensor(_well_scaled(batch_rng, (3,)))
+        slots = [[0, 1, 3], [2, 3, -1]]
+        targets = [[1, 0, 2], [1, -1, -1]]
+        w_44 = batch_rng.normal(size=(4, 4))
+        w_24b = batch_rng.normal(size=(2, 4))
+        w_v2b = batch_rng.normal(size=2)
 
         cases = {
             "matmul_mm": lambda g: _weighted_sum(g, g.matmul(a, b), w_m),
@@ -330,9 +345,19 @@ def test_grad_check_every_primitive_under_1e_5():
             "pick": lambda g: g.pick(v, 1),
             "lstm_step": lambda g: _weighted_sum(
                 g, g.concat(g.lstm_step(v, u, pos3, lstm_w, lstm_b)), w_v6),
-            "lstm_sequence": lambda g: _weighted_sum(
-                g, g.concat(_sequence_outputs(
-                    g.lstm_sequence(seq_inputs, seq_h0, seq_c0, seq_w, seq_b))), w_v18),
+            "lstm_sequence": lambda g: _weighted_sum(g, _sequence_outputs(
+                g, g.lstm_sequence(seq_x, (3, 1, 2), seq_h0, seq_c0, seq_w, seq_b)), w_12_2),
+            "lstm_sequence_finals": lambda g: _weighted_sum(g, g.stack_rows(
+                g.lstm_sequence(seq_x, (3, 1, 2), seq_h0, seq_c0, seq_w, seq_b,
+                                keep_hidden=False)[1:]), w_12_2[:6]),
+            "lookup_rows": lambda g: _weighted_sum(g, g.lookup(a, [2, 0, 2]), w_34),
+            "mean_rows_segments": lambda g: _weighted_sum(g, g.mean_rows(a, [1, 2]), w_24),
+            "stack_rows_matrix": lambda g: _weighted_sum(g, g.stack_rows([v, a]), w_44),
+            "sum_squares": lambda g: g.sum_squares([a, v]),
+            "conv_max": lambda g: _weighted_sum(
+                g, g.conv_max(conv_x, [1, 4], conv_filters), w_24b),
+            "pointer_log_probs": lambda g: _weighted_sum(
+                g, g.pointer_log_probs(keys, slots, queries, targets, attn_w, attn_v), w_v2b),
         }
         leaves = {
             "matmul_mm": [a, b], "matmul_vm": [v, b], "matmul_mv": [a, v],
@@ -342,8 +367,12 @@ def test_grad_check_every_primitive_under_1e_5():
             "concat": [v, u], "stack_rows": [v, pos], "narrow": [a],
             "add_rowvec": [a, v], "lookup": [a], "mean_rows": [a], "pick": [v],
             "lstm_step": [v, u, pos3, lstm_w, lstm_b],
-            "lstm_sequence": [x for row in seq_inputs for x in row]
-            + [seq_h0, seq_c0, seq_w, seq_b],
+            "lstm_sequence": [seq_x, seq_h0, seq_c0, seq_w, seq_b],
+            "lstm_sequence_finals": [seq_x, seq_h0, seq_c0, seq_w, seq_b],
+            "lookup_rows": [a], "mean_rows_segments": [a], "stack_rows_matrix": [v, a],
+            "sum_squares": [a, v],
+            "conv_max": [conv_x] + [t for _, w, b in conv_filters for t in (w, b)],
+            "pointer_log_probs": [keys, queries, attn_w, attn_v],
         }
         for name, fn in cases.items():
             err = grad_check(fn, leaves[name])

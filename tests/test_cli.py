@@ -104,6 +104,28 @@ def test_unknown_config_key_fails(capsys, toy_corpus_dir, tmp_path):
     assert "momentum" in err
 
 
+@pytest.mark.parametrize("flags,setting", [
+    (["--batch", "0"], ""),
+    ([], "batch_size = 0"),
+    ([], "hidden_dim = -3"),
+    ([], "hidden_dim = abc"),
+], ids=["flag batch 0", "batch_size 0", "hidden_dim -3", "hidden_dim abc"])
+def test_out_of_range_or_unreadable_settings_fail_with_one_error_line(
+        capsys, toy_corpus_dir, tmp_path, flags, setting):
+    config = tmp_path / "c.cfg"
+    config.write_text(f"encoder = cbow\n{setting}\n", encoding="utf-8")
+    out = tmp_path / "run"
+    rc, _, err = run_cli(capsys, [
+        "train", "--config", str(config), *flags,
+        "--train", str(toy_corpus_dir / "train.txt"),
+        "--dev", str(toy_corpus_dir / "test.txt"), "--out", str(out)])
+    assert rc == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert ("batch_size" if "batch" in " ".join(flags) + setting else "hidden_dim") in err
+    assert not out.exists()
+
+
 def test_malformed_config_line_reports_position(capsys, tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("first line without equals\n", encoding="utf-8")

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import composed_lstm_step, ref_lstm_step, stepwise_lstm_sequence
+from helpers import composed_cnn_vector, composed_lstm_step, ref_lstm_step, stepwise_lstm_sequence
 
 from ordernet.autodiff import Graph, Param, Tensor, grad_check
 from ordernet.encoders import (
@@ -14,6 +14,7 @@ from ordernet.encoders import (
     LstmCell,
     cbow_vector,
     cnn_vector,
+    cnn_vectors,
     create_cnn_filters,
     lstm_step,
     lstm_vector,
@@ -150,12 +151,12 @@ def test_a_graph_with_lstm_steps_is_freed_without_the_cycle_collector():
         g = Graph()
         h, c = g.lstm_step(Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(np.zeros(2)),
                            cell.w, cell.b)
-        hidden, finals = g.lstm_sequence([[Tensor(np.ones(3)), Tensor(np.ones(3))]],
-                                         Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))),
-                                         cell.w, cell.b)
-        g.backward(g.add(g.sum(h), g.sum(finals[0][1])))
+        hidden, final_h, final_c = g.lstm_sequence(
+            Tensor(np.ones((2, 3))), [2], Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))),
+            cell.w, cell.b)
+        g.backward(g.add(g.sum(h), g.sum(final_c)))
         ref = weakref.ref(g)
-        del g, h, c, hidden, finals
+        del g, h, c, hidden, final_h, final_c
         assert ref() is None
     finally:
         gc.enable()
@@ -173,41 +174,41 @@ def test_fused_lstm_step_rejects_mismatched_shapes():
         g.lstm_step(Tensor(np.zeros(3)), h, c, cell.w, Tensor(np.zeros(7)))
 
 
-def _run_lstm_sequence(run, seed):
-    """A random ragged batch through `run`; every hidden state and final cell
-    feeds the objective.  Returns the values, then the gradients of every
-    input, h0, c0, w and b."""
+def _run_lstm_sequence(run, seed, keep_hidden):
+    """A random ragged batch through `run`; every hidden state and both final
+    states feed the objective.  Returns the values, then the gradients of the
+    inputs, h0, c0, w and b."""
     rng = np.random.default_rng(seed)
     k, d, rows = (int(v) for v in rng.integers(1, 6, size=3))
     lengths = rng.integers(1, 7, size=rows)
     cell = LstmCell.create("c", k, d, rng)
     cell.w.value[...] = rng.normal(scale=0.7, size=cell.w.value.shape)
     cell.b.value[...] = rng.normal(size=cell.b.value.shape)
-    sequences = [[Param(f"x{s}.{t}", rng.normal(size=k)) for t in range(n)]
-                 for s, n in enumerate(lengths)]
+    x = Param("x", rng.normal(size=(int(lengths.sum()), k)))
     h0 = Param("h0", rng.normal(size=(rows, d)))
     c0 = Param("c0", rng.normal(size=(rows, d)))
     g = Graph()
-    hidden, finals = run(g, sequences, h0, c0, cell.w, cell.b)
-    outputs = [h for row in hidden for h in row] + [c for _, c in finals]
+    hidden, final_h, final_c = run(g, x, lengths, h0, c0, cell.w, cell.b, keep_hidden)
+    outputs = [final_h, final_c] + ([hidden] if keep_hidden else [])
     total = None
     for out in outputs:
-        term = g.matmul(out, Tensor(rng.normal(size=d)))
+        term = g.sum(g.mul(out, Tensor(rng.normal(size=out.shape))))
         total = term if total is None else g.add(total, term)
     g.backward(total)
-    leaves = [x for row in sequences for x in row] + [h0, c0, cell.w, cell.b]
-    values = [out.value.copy() for out in outputs] + [h.value.copy() for h, _ in finals]
-    return values, [leaf.grad.copy() for leaf in leaves]
+    values = [out.value.copy() for out in outputs]
+    return values, [leaf.grad.copy() for leaf in (x, h0, c0, cell.w, cell.b)]
 
 
 def test_lstm_sequence_matches_a_chain_of_lstm_steps():
     # The op splits [x; h] @ w into an input projection and a recurrent
-    # product, and sums the weight gradient in one GEMM, so it agrees with
-    # the step-by-step chain up to rounding.
+    # product, sums the weight gradient in one GEMM and recomputes the
+    # hidden states backward() needs, so it agrees with the step-by-step
+    # chain up to rounding.
     worst = 0.0
     for trial in range(40):
-        values, grads = _run_lstm_sequence(Graph.lstm_sequence, trial)
-        ref_values, ref_grads = _run_lstm_sequence(stepwise_lstm_sequence, trial)
+        keep_hidden = trial % 4 != 3
+        values, grads = _run_lstm_sequence(Graph.lstm_sequence, trial, keep_hidden)
+        ref_values, ref_grads = _run_lstm_sequence(stepwise_lstm_sequence, trial, keep_hidden)
         assert len(values) == len(ref_values) and len(grads) == len(ref_grads)
         for a, b in zip(values + grads, ref_values + ref_grads):
             scale = max(np.abs(b).max(), 1e-300)
@@ -218,27 +219,27 @@ def test_lstm_sequence_matches_a_chain_of_lstm_steps():
 def test_lstm_sequence_rejects_bad_shapes_and_empty_sequences():
     cell = LstmCell.create("c", 3, 2, np.random.default_rng(0))
     g = Graph()
-    x = Tensor(np.zeros(3))
+    x = Tensor(np.zeros((2, 3)))
     state = Tensor(np.zeros((2, 2)))
-    with pytest.raises(ShapeError):  # input of the wrong length
-        g.lstm_sequence([[x], [Tensor(np.zeros(4))]], state, state, cell.w, cell.b)
-    with pytest.raises(ShapeError):  # inputs of different lengths
-        g.lstm_sequence([[Tensor(np.zeros(2))], [x]], state, state, cell.w, cell.b)
-    with pytest.raises(ShapeError):  # a matrix input
-        g.lstm_sequence([[Tensor(np.zeros((1, 3)))], [x]], state, state, cell.w, cell.b)
+    with pytest.raises(ShapeError):  # inputs of the wrong length
+        g.lstm_sequence(Tensor(np.zeros((2, 4))), [1, 1], state, state, cell.w, cell.b)
+    with pytest.raises(ShapeError):  # vector inputs
+        g.lstm_sequence(Tensor(np.zeros(3)), [1], state, state, cell.w, cell.b)
+    with pytest.raises(ShapeError):  # lengths that do not cover the rows
+        g.lstm_sequence(x, [1, 2], state, state, cell.w, cell.b)
     with pytest.raises(ShapeError):  # one state row per sequence
-        g.lstm_sequence([[x]], state, state, cell.w, cell.b)
+        g.lstm_sequence(x, [2], state, state, cell.w, cell.b)
     with pytest.raises(ShapeError):  # h0 and c0 alike
-        g.lstm_sequence([[x], [x]], state, Tensor(np.zeros((2, 3))), cell.w, cell.b)
+        g.lstm_sequence(x, [1, 1], state, Tensor(np.zeros((2, 3))), cell.w, cell.b)
     with pytest.raises(ShapeError):
-        g.lstm_sequence([[x], [x]], state, state, cell.w, Tensor(np.zeros(7)))
+        g.lstm_sequence(x, [1, 1], state, state, cell.w, Tensor(np.zeros(7)))
     with pytest.raises(EmptyInputError):
-        g.lstm_sequence([[x], []], state, state, cell.w, cell.b)
+        g.lstm_sequence(x, [2, 0], state, state, cell.w, cell.b)
     with pytest.raises(EmptyInputError):
-        g.lstm_sequence([], Tensor(np.zeros((0, 2))), Tensor(np.zeros((0, 2))),
-                        cell.w, cell.b)
+        g.lstm_sequence(Tensor(np.zeros((0, 3))), [], Tensor(np.zeros((0, 2))),
+                        Tensor(np.zeros((0, 2))), cell.w, cell.b)
     with pytest.raises(EmptyInputError):
-        lstm_vectors(g, [[x], []], cell)
+        lstm_vectors(g, x, [2, 0], cell)
 
 
 def test_lstm_with_zero_weights_and_biases_stays_at_zero():
@@ -319,6 +320,30 @@ def test_cnn_vector_concatenates_filter_blocks_in_order():
     assert out.value.shape == (6,)
     only_first = cnn_vector(g, words, filters[:1])
     assert np.array_equal(out.value[:3], only_first.value)
+
+
+def test_cnn_vectors_send_a_tied_maximum_to_the_earliest_window():
+    # In "a b a b" the width-2 windows 0 and 2 are equal, so a feature that
+    # peaks there ties; its gradient must reach the words of window 0, as it
+    # does through max_over_time in the one-op-per-window encoder.
+    config = EncoderConfig(kind="cnn", embed_dim=2, filter_lengths=(2,), feature_maps=4)
+    rng = np.random.default_rng(7)
+    filters = create_cnn_filters("f", config, rng)
+    a, b = rng.normal(size=2), rng.normal(size=2)
+    values = np.array([a, b, a, b, b])
+    mixing = rng.normal(size=(2, 4))
+
+    words = Tensor(values)
+    g = Graph()
+    g.backward(g.sum(g.mul(cnn_vectors(g, words, [4, 1], filters), Tensor(mixing))))
+
+    rows = [Tensor(v) for v in values]
+    g = Graph()
+    first = g.sum(g.mul(composed_cnn_vector(g, rows[:4], filters), Tensor(mixing[0])))
+    second = g.sum(g.mul(composed_cnn_vector(g, rows[4:], filters), Tensor(mixing[1])))
+    g.backward(g.add(first, second))
+    assert np.abs(words.grad[0]).max() > 0.0  # some feature's maximum is the tie
+    assert np.allclose(words.grad, [r.grad for r in rows], rtol=1e-12, atol=1e-15)
 
 
 def test_lstm_vector_is_the_final_hidden_state():

@@ -1,6 +1,8 @@
 """Tests for the pointer-network model: parameters, attention, loss, saliency."""
 
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +10,9 @@ import pytest
 
 from helpers import (
     TINY_DIMS,
+    overwrite_well_scaled,
     random_sentences,
+    ref_batch_loss,
     ref_context,
     ref_log_prob,
     ref_step_probs,
@@ -18,7 +22,7 @@ from helpers import (
 
 from ordernet.autodiff import Graph
 from ordernet.encoders import EncoderConfig
-from ordernet.errors import EmptyInputError, IndexRangeError, InvalidOrderError
+from ordernet.errors import EmptyInputError, IndexRangeError, InvalidOrderError, NumericError
 from ordernet.model import (
     START,
     PtrNetParams,
@@ -249,6 +253,86 @@ def test_batch_loss_without_regularization_drops_the_penalty():
     got = batch_loss(Graph(), [inst], params, 0.0).value
     assert float(got) == pytest.approx(-ref_log_prob(params, sentences, [1, 0, 2]),
                                        abs=1e-12)
+
+
+def _ragged_instances(rng, vocab_size, count, max_sentences=8, max_words=5):
+    """Documents of 2 to 8 sentences, each holding a one-word sentence (shorter
+    than every filter width), with fixed-length, stop-terminated and
+    noise-excluding targets in turn (the last leave one position out)."""
+    instances = []
+    for i in range(count):
+        n = int(rng.integers(2, max_sentences + 1))
+        sentences = random_sentences(rng, vocab_size, n, max_words)
+        sentences[int(rng.integers(n))] = [int(rng.integers(1, vocab_size))]
+        body = [int(p) for p in rng.permutation(n)]
+        target = (body, body + [n], body[1:] + [n])[i % 3]
+        instances.append(SimpleNamespace(doc_id=f"doc-{i}", inputs=sentences, target=target))
+    return instances
+
+
+def _batch_against_loop(params, instances, reg):
+    """Worst relative difference of the loss and of each parameter gradient
+    between batch_loss and the per-document reference loop."""
+    all_params = params.all_params()
+    for p in all_params:
+        p.zero_grad()
+    graph = Graph()
+    loss = batch_loss(graph, instances, params, reg)
+    graph.backward(loss)
+    batched = [p.grad.copy() for p in all_params]
+    for p in all_params:
+        p.zero_grad()
+    want = ref_batch_loss(params, instances, reg)
+    worst = abs(float(loss.value) - want) / abs(want)
+    for p, got in zip(all_params, batched):
+        scale = max(np.abs(p.grad).max(), 1e-300)
+        worst = max(worst, np.abs(got - p.grad).max() / scale)
+        p.zero_grad()
+    return worst
+
+
+@pytest.mark.parametrize("kind", ["cbow", "cnn", "lstm"])
+def test_batch_loss_and_every_gradient_match_the_per_document_loop(kind):
+    rng = np.random.default_rng({"cbow": 12, "cnn": 13, "lstm": 14}[kind])
+    worst = 0.0
+    for trial in range(4):
+        params = tiny_params(kind, seed=trial, vocab_size=30)
+        overwrite_well_scaled(params, seed=100 + trial)
+        instances = _ragged_instances(rng, 30, count=1 + 3 * trial)
+        worst = max(worst, _batch_against_loop(params, instances, reg=1e-3 * trial))
+    # Wide enough that the batched products are summed in fixed blocks.
+    config = EncoderConfig(kind=kind, embed_dim=40, filter_lengths=(2, 3),
+                           feature_maps=64, recurrent_dim=64)
+    params = PtrNetParams.create(config, 64, 60, seed=5)
+    worst = max(worst, _batch_against_loop(params, _ragged_instances(rng, 60, count=24), 1e-5))
+    assert worst <= 1e-9, f"{kind}: batch differs from the loop by {worst:.3e}"
+
+
+def test_batch_loss_names_the_document_whose_log_probability_is_not_finite():
+    params = tiny_params("cbow", seed=2)
+    instances = [SimpleNamespace(doc_id="first", inputs=[[1, 2], [3]], target=[1, 0]),
+                 SimpleNamespace(doc_id="second", inputs=[[4], [5, 6]], target=[0, 1])]
+    params.embeddings.value[5] = np.nan
+    with pytest.raises(NumericError, match="second: log-probability is nan"):
+        batch_loss(Graph(), instances, params, 1e-3)
+    assert not any(p.grad.any() for p in params.all_params())
+
+
+def test_a_batch_graph_is_freed_without_the_cycle_collector():
+    rng = np.random.default_rng(15)
+    for kind in ("cbow", "cnn", "lstm"):
+        params = tiny_params(kind, seed=1, vocab_size=30)
+        instances = _ragged_instances(rng, 30, count=4)
+        gc.disable()
+        try:
+            g = Graph()
+            loss = batch_loss(g, instances, params, 1e-3)
+            g.backward(loss)
+            ref = weakref.ref(g)
+            del g, loss
+            assert ref() is None, kind
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

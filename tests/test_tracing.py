@@ -46,5 +46,6 @@ def test_the_benchmark_tracer_installs_counts_and_removes_cleanly():
     assert all(owner.__dict__[attr] is original
                for (owner, attr), original in zip(sites, originals))
     assert tracer.calls["model.encode_document"] == 1
-    assert tracer.calls["autodiff.lookup"] == sum(len(s) for s in sentences)
+    # One lookup gathers the embedding of every word of the document.
+    assert tracer.calls["autodiff.lookup"] == 1
     assert tracer.tensors > 0

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from ordernet import training
-from ordernet.autodiff import Param
+from ordernet.autodiff import Graph, Param
 from ordernet.corpus import Document, Vocab, build_instances, build_vocab
 from ordernet.errors import CheckpointError, ConfigError, InvalidOrderError, NumericError
-from ordernet.model import Order
+from ordernet.model import Order, batch_loss
 from ordernet.training import (
     AdaGradState,
     EpochRecord,
@@ -204,6 +204,63 @@ def test_training_is_bit_identical_at_one_and_two_blas_threads(tmp_path):
     assert any(name.startswith("opt/") for name in saved["1"])
     for name, value in saved["1"].items():
         assert np.array_equal(value, saved["2"][name]), name
+
+
+def test_train_epoch_reports_the_batch_loss():
+    model, docs = tiny_model(batch_size=16)  # the 16 documents make one batch
+    instances = build_instances(docs, model.vocab, model.config.seed, 1)
+    want = float(batch_loss(Graph(), instances, model.params, model.config.reg_lambda).value)
+    state = AdaGradState(model.params.all_params(),
+                         model.config.learning_rate, model.config.adagrad_epsilon)
+    assert train_epoch(model, docs, 1, state) == pytest.approx(want, rel=1e-12)
+
+
+# Two one-batch epochs of 32 documents at the standard dimensions, for the
+# lstm and the cnn encoder.  Batched products that big are threaded by
+# OpenBLAS, and for many shapes a threaded product rounds differently.
+_STANDARD_THREAD_RUN = """
+import sys
+import numpy as np
+from ordernet.corpus import Document, build_vocab, tokenize
+from ordernet.synthetic import generate_documents
+from ordernet.training import AdaGradState, Model, TrainConfig, checkpoint_save, train_epoch
+texts = generate_documents(32, np.random.default_rng(5), sentences_per_doc=5)
+docs = [Document(f"d{i}", [tokenize(s) for s in text]) for i, text in enumerate(texts)]
+losses = []
+for encoder in ("lstm", "cnn"):
+    config = TrainConfig(encoder=encoder, batch_size=32, adagrad_epsilon=0.3, seed=3)
+    model = Model.create(config, build_vocab(docs))
+    state = AdaGradState(model.params.all_params(), config.learning_rate,
+                         config.adagrad_epsilon)
+    losses += [train_epoch(model, docs, epoch, state) for epoch in (1, 2)]
+    checkpoint_save(f"{sys.argv[1]}.{encoder}.npz", model, state)
+print(" ".join(float(v).hex() for v in losses))
+"""
+
+
+def test_batched_training_at_standard_dimensions_is_bit_identical_at_1_2_and_3_blas_threads(
+        tmp_path):
+    src = str(Path(training.__file__).resolve().parents[1])
+    saved, printed = {}, {}
+    for threads in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        stem = tmp_path / f"threads{threads}"
+        run = subprocess.run([sys.executable, "-c", _STANDARD_THREAD_RUN, str(stem)], env=env,
+                             check=True, timeout=300, capture_output=True, text=True)
+        printed[threads] = run.stdout.split()
+        saved[threads] = {}
+        for encoder in ("lstm", "cnn"):
+            with np.load(f"{stem}.{encoder}.npz") as data:
+                saved[threads].update({f"{encoder}:{name}": data[name] for name in data.files
+                                       if name.startswith(("param/", "opt/"))})
+    assert len(printed["1"]) == 4
+    for threads in ("2", "3"):
+        assert printed[threads] == printed["1"], threads
+        assert saved[threads].keys() == saved["1"].keys()
+        for name, value in saved["1"].items():
+            assert np.array_equal(value, saved[threads][name]), (threads, name)
 
 
 def test_train_returns_history_and_honors_stop_when():
