@@ -69,9 +69,8 @@ def lstm_cell(pre, c_prev):
 
     pre holds the pre-activations packed (input, output, forget, candidate)
     along its last axis; a leading batch axis is allowed.  Returns the new
-    hidden state, the new cell state, the gate activations packed like pre
-    (sigmoids of the first three blocks, tanh of the candidate) and
-    tanh(cell), which is all a backward sweep needs.
+    hidden state, the new cell state and the gate activations packed like
+    pre (sigmoids of the first three blocks, tanh of the candidate).
     """
     d = pre.shape[-1] // 4
     acts = np.empty_like(pre)
@@ -79,32 +78,12 @@ def lstm_cell(pre, c_prev):
     acts[..., 3 * d:] = np.tanh(pre[..., 3 * d:])
     gate_in, gate_out, gate_forget, candidate = _gate_blocks(acts, d)
     c = c_prev * gate_forget + candidate * gate_in
-    tanh_c = np.tanh(c)
-    return gate_out * tanh_c, c, acts, tanh_c
+    return gate_out * np.tanh(c), c, acts
 
 
 def _gate_blocks(acts, d):
     """The (input, output, forget, candidate) blocks of packed gate activations."""
     return (acts[..., :d], acts[..., d:2 * d], acts[..., 2 * d:3 * d], acts[..., 3 * d:])
-
-
-def _lstm_d_pre(acts, tanh_c, c_prev, g, dc):
-    """Gradient of the packed pre-activations of LSTM steps.
-
-    g is the gradient reaching the new hidden state and dc the one reaching
-    the new cell state from later steps.  Returns (d_pre, dct) where dct is
-    the whole gradient of the new cell state.
-    """
-    d = tanh_c.shape[-1]
-    gate_in, gate_out, gate_forget, candidate = _gate_blocks(acts, d)
-    dct = dc + g * gate_out * (1.0 - tanh_c * tanh_c)
-    d_pre = np.concatenate([
-        dct * candidate * gate_in * (1.0 - gate_in),
-        g * tanh_c * gate_out * (1.0 - gate_out),
-        dct * c_prev * gate_forget * (1.0 - gate_forget),
-        dct * gate_in * (1.0 - candidate * candidate),
-    ], axis=-1)
-    return d_pre, dct
 
 
 def squared_norm(array):
@@ -185,18 +164,6 @@ def _window_rows(lengths, offsets, width, pad_row):
     return index, segment, start
 
 
-def _add_outer(outer_terms, target, left, right):
-    """target.grad += outer(left, right), deferred into outer_terms for a Param."""
-    if not isinstance(target, Param):
-        target.grad += np.outer(left, right)
-        return
-    terms = outer_terms.get(id(target))
-    if terms is None:
-        terms = outer_terms[id(target)] = (target, [], [])
-    terms[1].append(left)
-    terms[2].append(right)
-
-
 class Graph:
     """Tape of primitive applications supporting one-call reverse sweeps.
 
@@ -206,7 +173,6 @@ class Graph:
 
     def __init__(self, recording=True):
         self._tape = []
-        self._outer_terms = {}  # id(param) -> (param, left vectors, right vectors)
         self.recording = recording
 
     def _forward_matmul(self, a, b):
@@ -231,16 +197,9 @@ class Graph:
         for outs, _ in self._tape:
             for out in outs:
                 out.grad[...] = 0.0
-        self._outer_terms.clear()
         root.grad += seed
         for _, backward_fn in reversed(self._tape):
             backward_fn()
-        # Nothing reads a parameter's gradient during the sweep, so the outer
-        # products deferred by lstm_step are summed here in one GEMM per
-        # weight.
-        for param, lefts, rights in self._outer_terms.values():
-            param.grad += np.stack(lefts).T @ np.stack(rights)
-        self._outer_terms.clear()
 
     # ----- primitives -----
 
@@ -318,65 +277,29 @@ class Graph:
 
         return self._emit(out, backward_fn)
 
-    def lstm_step(self, x, h_prev, c_prev, w, b):
-        """One LSTM transition as a single op; returns the new (hidden, cell).
-
-        w is the ([x; h_prev], 4d) weight matrix and b the 4d bias, gates
-        packed (input, output, forget, candidate).  Forward and backward do
-        the same float operations in the same order as composing concat,
-        matmul, add, narrow, sigmoid, tanh and mul, so values and the
-        gradients of x, h_prev, c_prev and b are bit-identical to that
-        composition.  When w is a Param, its per-step outer products are
-        summed in one GEMM at the end of backward(), which rounds
-        differently from adding them one at a time.
-        """
-        xv, hv, cv, wv, bv = x.value, h_prev.value, c_prev.value, w.value, b.value
-        if xv.ndim != 1 or hv.ndim != 1 or cv.shape != hv.shape:
-            raise ShapeError(f"lstm_step expects vectors x, h, c with h and c alike, "
-                             f"got {xv.shape}, {hv.shape}, {cv.shape}")
-        k, d = xv.shape[0], hv.shape[0]
-        if wv.shape != (k + d, 4 * d) or bv.shape != (4 * d,):
-            raise ShapeError(f"lstm_step weights {wv.shape} and bias {bv.shape} do not fit "
-                             f"input {k} and state {d}")
-        xh = np.concatenate([xv, hv])
-        h_value, c_value, acts, tanh_c = lstm_cell(xh @ wv + bv, cv)
-        h, c = Tensor(h_value), Tensor(c_value)
-        # The closure holds the dict, not the graph: a graph -> tape ->
-        # closure -> graph cycle would keep every graph alive until the
-        # cyclic garbage collector happens to run.
-        outer_terms = self._outer_terms
-
-        def backward_fn():
-            d_pre, dc = _lstm_d_pre(acts, tanh_c, cv, h.grad, c.grad)
-            c_prev.grad += dc * acts[2 * d:3 * d]
-            b.grad += d_pre
-            d_xh = wv @ d_pre
-            _add_outer(outer_terms, w, xh, d_pre)
-            x.grad += d_xh[:k]
-            h_prev.grad += d_xh[k:]
-
-        return self._emit(h, backward_fn, (c,)), c
-
     def lstm_sequence(self, x, lengths, h0, c0, w, b, keep_hidden=True):
         """An LSTM run over a batch of ragged sequences as a single op.
 
         x holds the input vectors of S sequences one after another, a
         (sum(lengths), k) matrix; sequence s is lengths[s] >= 1 rows long
-        and starts from row s of the (S, d) states h0 and c0.  w and b are
-        as in lstm_step.  One GEMM projects every input; then each time
-        index advances the rows still inside their sequence in one batched
-        step, and a row keeps its state once its sequence ends.  Returns
+        and starts from row s of the (S, d) states h0 and c0.  w is the
+        ([x; h_prev], 4d) weight matrix and b the 4d bias, packed as in
+        lstm_cell.  One GEMM projects every input; then each time index
+        advances the rows still inside their sequence in one batched step,
+        and a row keeps its state once its sequence ends.  Returns
         (hidden, final_h, final_c): the hidden state after every input,
         row-aligned with x, and each sequence's last hidden and cell
         states as (S, d) matrices.  With keep_hidden false, hidden is None
-        and is never stored.
+        and is never stored.  This is the only LSTM op; one step on a graph
+        is a composition of primitives (encoders.lstm_step).
 
         Only the gate activations and cell states of each step are stored;
         backward() recomputes the rest from them, runs the recurrence back
         by hand, and adds the weight gradient as [x; h_prev]^T @ d_pre and
         the bias gradient as one column sum.  Large products go through
-        fixed_matmul.  Values round differently from a chain of lstm_step
-        calls (the projection splits the [x; h_prev] @ w product in two).
+        fixed_matmul.  Values round differently from a chain of
+        encoders.lstm_step calls (the projection splits the [x; h_prev] @ w
+        product in two).
         """
         xv, hv, cv, wv, bv = x.value, h0.value, c0.value, w.value, b.value
         if xv.ndim != 2:
@@ -401,7 +324,7 @@ class Graph:
         for t in range(lengths.max()):
             rows = np.flatnonzero(lengths > t)
             flat = offsets[rows] + t
-            h_new, c_new, acts, _ = lstm_cell(
+            h_new, c_new, acts = lstm_cell(
                 projected[flat] + self._forward_matmul(h[rows], w_hidden), c[rows])
             h[rows], c[rows] = h_new, c_new
             if self.recording:
@@ -420,10 +343,20 @@ class Graph:
             d_pre_all = np.empty((n, 4 * d))
             for t, (rows, flat) in reversed(list(enumerate(steps))):
                 c_prev = cv[rows] if t == 0 else c_all[flat - 1]
+                # g reaches the new hidden state; dct is the whole gradient
+                # of the new cell state, dc[rows] being what later steps sent.
                 g = dh[rows] if hidden is None else hidden.grad[flat] + dh[rows]
-                d_pre, dct = _lstm_d_pre(acts_all[flat], tanh_c_all[flat], c_prev, g, dc[rows])
+                gate_in, gate_out, gate_forget, candidate = _gate_blocks(acts_all[flat], d)
+                tanh_c = tanh_c_all[flat]
+                dct = dc[rows] + g * gate_out * (1.0 - tanh_c * tanh_c)
+                d_pre = np.concatenate([
+                    dct * candidate * gate_in * (1.0 - gate_in),
+                    g * tanh_c * gate_out * (1.0 - gate_out),
+                    dct * c_prev * gate_forget * (1.0 - gate_forget),
+                    dct * gate_in * (1.0 - candidate * candidate),
+                ], axis=-1)
                 d_pre_all[flat] = d_pre
-                dc[rows] = dct * acts_all[flat, 2 * d:3 * d]
+                dc[rows] = dct * gate_forget
                 dh[rows] = fixed_matmul(d_pre, w_hidden.T)
             h0.grad += dh
             c0.grad += dc

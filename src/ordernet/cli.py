@@ -12,7 +12,6 @@ import argparse
 import html
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +26,12 @@ from .corpus import (
 )
 from .decoding import beam_decode, oracle_in_beam
 from .errors import ConfigError, OrdernetError
-from .metrics import aggregate, lsr_scores, pm_scores, pmr
+from .metrics import aggregate
 from .model import saliency
 from .training import (
-    AdaGradState,
     Model,
     TrainConfig,
     checkpoint_load,
-    checkpoint_save,
     decode_instances,
     evaluate,
     parse_config_value,
@@ -297,16 +294,19 @@ def cmd_saliency(args):
 
 
 def cmd_oracle(args):
+    beams = args.beams.replace(",", " ").split()
+    if not beams or not all(b.isdecimal() and int(b) >= 1 for b in beams):
+        raise ConfigError(f"--beams expects positive integers separated by commas, "
+                          f"got {args.beams!r}")
     model, _, _ = _load_checkpoint_for(args)
     cfg = model.config
     corpus = _load_split(args.test or args.input, "test")
     seed = args.seed if args.seed is not None else cfg.seed
     instances = _eval_instances(model, corpus.documents, seed)
-    beams = [int(b) for b in args.beams.replace(",", " ").split()]
 
     lines = [_config_echo(cfg),
              "# b\tpm_f\tlsr_f\tpmr\toracle_pm_f\toracle_lsr_f\toracle_pmr"]
-    for b in beams:
+    for b in map(int, beams):
         decoded_pairs = []
         oracle_sums = {"pm_f": 0.0, "lsr_f": 0.0, "pmr": 0.0}
         for inst in instances:

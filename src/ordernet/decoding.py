@@ -7,7 +7,8 @@ raw sums of step log-probabilities; nothing is length-normalized.
 
 Greedy and beam search step a BatchDecoder, a forward-only copy of the
 decoder on plain arrays; exhaustive search and rescoring teacher-force the
-differentiable Graph path of ordernet.model.
+differentiable Graph path of ordernet.model.  No search runs the per-step
+Graph functions, which compose primitives and have no fused op.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class BatchDecoder:
             raise IndexRangeError(f"chosen positions {chosen} outside {self.n} inputs")
         x = self.inputs[chosen + 1]
         pre = np.concatenate([x, hidden], axis=1) @ self.cell_w + self.cell_b
-        hidden, cell, _, _ = lstm_cell(pre, cell)
+        hidden, cell, _ = lstm_cell(pre, cell)
         return hidden, cell
 
     def log_probs(self, hidden, mask):

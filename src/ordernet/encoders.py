@@ -70,8 +70,16 @@ class LstmCell:
 
 
 def lstm_step(graph, x, h_prev, c_prev, cell):
-    """One LSTM transition; returns the new (hidden, cell) pair."""
-    return graph.lstm_step(x, h_prev, c_prev, cell.w, cell.b)
+    """One LSTM transition composed from Graph primitives (there is no fused
+    step op); returns the new (hidden, cell) pair."""
+    d = cell.state_dim
+    pre = graph.add(graph.matmul(graph.concat([x, h_prev]), cell.w), cell.b)
+    gate_in = graph.sigmoid(graph.narrow(pre, 0, d))
+    gate_out = graph.sigmoid(graph.narrow(pre, d, 2 * d))
+    gate_forget = graph.sigmoid(graph.narrow(pre, 2 * d, 3 * d))
+    candidate = graph.tanh(graph.narrow(pre, 3 * d, 4 * d))
+    c = graph.add(graph.mul(c_prev, gate_forget), graph.mul(candidate, gate_in))
+    return graph.mul(gate_out, graph.tanh(c)), c
 
 
 def lstm_run(graph, x, lengths, cell, keep_hidden=True):

@@ -12,20 +12,20 @@ The loss is defined once, for a whole minibatch on one graph:
 batch_log_probs encodes every document, runs the teacher-forced decoder of
 all of them as one LSTM op and scores every pointing step with one
 attention op.  sequence_log_prob and encode_document are its one-document
-cases; advance_decoder and decode_step step a single decoder state, for
-saliency.
+cases.  For saliency, advance_decoder and decode_step step a single decoder
+state; they are compositions of Graph primitives (the decoder LSTM step is
+encoders.lstm_step), with no fused per-step op.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Graph, Param, Tensor, row_view
 from .corpus import stable_seed
 from .encoders import (
-    EncoderConfig,
     LstmCell,
     cbow_vectors,
     cnn_vectors,
@@ -189,7 +189,6 @@ class EncodedInstance:
     sentence_vectors: list     # one vector per input sentence
     context_hidden: list       # encoder hidden states e_1..e_n (attention keys)
     final_state: tuple         # (hidden, cell) after the last sentence
-    _projected_keys: dict = field(default_factory=dict)
 
 
 def encode_document(graph, sentences, params):
@@ -205,18 +204,6 @@ def encode_document(graph, sentences, params):
     return EncodedInstance(word_vectors, sentence_vectors, context_hidden, final_state)
 
 
-def _projected_keys(graph, encoded, params, allow_stop):
-    """Attention keys premultiplied by the key half of W, cached per mode."""
-    if allow_stop not in encoded._projected_keys:
-        rows = list(encoded.context_hidden)
-        if allow_stop:
-            rows.append(params.stop_key)
-        h = params.hidden_dim
-        keys = graph.matmul(graph.stack_rows(rows), graph.narrow(params.attn_w, 0, h))
-        encoded._projected_keys[allow_stop] = keys
-    return encoded._projected_keys[allow_stop]
-
-
 def decode_step(graph, decoder_hidden, encoded, mask, params, allow_stop=False):
     """Pointing distribution over input positions (plus stop when allowed).
 
@@ -225,7 +212,10 @@ def decode_step(graph, decoder_hidden, encoded, mask, params, allow_stop=False):
     computed here with attn_w split into its key and query halves.
     """
     h = params.hidden_dim
-    keys = _projected_keys(graph, encoded, params, allow_stop)
+    rows = list(encoded.context_hidden)
+    if allow_stop:
+        rows.append(params.stop_key)
+    keys = graph.matmul(graph.stack_rows(rows), graph.narrow(params.attn_w, 0, h))
     query = graph.matmul(decoder_hidden, graph.narrow(params.attn_w, h, 2 * h))
     logits = graph.matmul(graph.tanh(graph.add_rowvec(keys, query)), params.attn_v)
     return graph.masked_softmax(logits, mask)
@@ -344,16 +334,22 @@ class SaliencyResult:
 def saliency(instance, prefix, params, choice=None, allow_stop=False):
     """Gradient-norm attribution of one pointing decision onto every word.
 
-    Runs the decoder teacher-forced through `prefix`, takes the distribution
-    of the next step, and differentiates the probability of `choice` (the
-    greedy argmax when omitted) with respect to each word embedding use.
+    Runs the decoder teacher-forced through `prefix` (distinct positions),
+    takes the distribution of the next step, and differentiates the
+    probability of `choice` (the greedy argmax when omitted, else a slot
+    not in the prefix) with respect to each word embedding use.  The
+    parameters' gradients are left as they were found.
     """
     n = len(instance.inputs)
+    prefix = list(prefix)
+    validate_target(prefix + [n], n)  # distinct positions in range
+    slots = n + 1 if allow_stop else n
+    if choice is not None and (choice in prefix or not 0 <= choice < slots):
+        raise InvalidOrderError(f"choice {choice} is not a free slot of {slots}")
     graph = Graph()
     encoded = encode_document(graph, instance.inputs, params)
-
     state = encoded.final_state
-    mask = np.zeros(n + 1 if allow_stop else n, dtype=bool)
+    mask = np.zeros(slots, dtype=bool)
     previous = START
     for p in prefix:
         state = advance_decoder(graph, state, previous, encoded, params)
@@ -365,7 +361,14 @@ def saliency(instance, prefix, params, choice=None, allow_stop=False):
     if choice is None:
         choice = int(np.argmax(probs.value))
     prob = graph.pick(probs, choice)
-    graph.backward(prob)
+    # backward() adds into every parameter's gradient; a caller between
+    # training steps must not see saliency's share of it.
+    saved = [(param, param.grad.copy()) for param in params.all_params()]
+    try:
+        graph.backward(prob)
+    finally:
+        for param, grad in saved:
+            param.grad[...] = grad
 
     scores = [
         [float(np.linalg.norm(w.grad)) for w in sentence]

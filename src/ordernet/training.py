@@ -13,7 +13,7 @@ import math
 import os
 import time
 import zipfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .corpus import Vocab, build_instances, noise_pool_of, stable_seed
 from .encoders import EncoderConfig
 from .errors import CheckpointError, ConfigError, InvalidOrderError, NumericError
 from .decoding import beam_decode, greedy_decode
-from .metrics import MetricsReport, aggregate
+from .metrics import aggregate
 from .model import PtrNetParams, batch_loss
 
 # Not called here (training runs batch_loss), but bound so that a profiler
@@ -280,7 +280,8 @@ def decode_instances(model, instances, strategy="greedy", beam_size=None, jobs=1
     """Predicted orders for a list of instances, in input order."""
     if strategy not in ("greedy", "beam"):
         raise ConfigError(f"unknown decode strategy {strategy!r}")
-    beam_size = beam_size or model.config.beam_size
+    if beam_size is None:
+        beam_size = model.config.beam_size
     if jobs > 1 and len(instances) > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=jobs, initializer=_worker_init,

@@ -1,10 +1,9 @@
 """Shared test utilities: independent reference math and fixture builders.
 
 The reference implementations here deliberately repeat the model arithmetic
-in flat numpy, without the autodiff graph, so graph plumbing (masking, key
-caching, the factorized attention) is checked against a second, simpler
-derivation.  Brute-force enumerators provide oracles for the metric and
-search code.
+in flat numpy, without the autodiff graph, so graph plumbing (masking, the
+factorized attention) is checked against a second, simpler derivation.
+Brute-force enumerators provide oracles for the metric and search code.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ordernet.autodiff import Graph, Tensor
-from ordernet.encoders import EncoderConfig
+from ordernet.encoders import EncoderConfig, LstmCell, lstm_step
 from ordernet.errors import EmptyInputError, IndexRangeError
 from ordernet.model import (
     START,
@@ -89,34 +88,19 @@ def ref_lstm_step(x, h_prev, c_prev, w, b):
     return gate_out * np.tanh(c), c
 
 
-def composed_lstm_step(graph, x, h_prev, c_prev, cell):
-    """One LSTM transition composed from separate Graph primitives.
-
-    This is the op-by-op form that Graph.lstm_step fuses; the two must agree
-    bit for bit, in values and in gradients.
-    """
-    d = cell.state_dim
-    pre = graph.add(graph.matmul(graph.concat([x, h_prev]), cell.w), cell.b)
-    gate_in = graph.sigmoid(graph.narrow(pre, 0, d))
-    gate_out = graph.sigmoid(graph.narrow(pre, d, 2 * d))
-    gate_forget = graph.sigmoid(graph.narrow(pre, 2 * d, 3 * d))
-    candidate = graph.tanh(graph.narrow(pre, 3 * d, 4 * d))
-    c = graph.add(graph.mul(c_prev, gate_forget), graph.mul(candidate, gate_in))
-    h = graph.mul(gate_out, graph.tanh(c))
-    return h, c
-
-
 def stepwise_lstm_sequence(graph, x, lengths, h0, c0, w, b, keep_hidden=True):
-    """Graph.lstm_sequence as a chain of lstm_step ops, one row at a time.
+    """Graph.lstm_sequence as a chain of encoders.lstm_step calls, one row
+    at a time: the unfused reference for the op.
 
     Has the op's signature, so a test can swap it in for the method.
     """
+    cell = LstmCell(w, b, h0.shape[1])
     hidden, final_h, final_c = [], [], []
     start = 0
     for s, length in enumerate(lengths):
         h, c = graph.lookup(h0, s), graph.lookup(c0, s)
         for t in range(length):
-            h, c = graph.lstm_step(graph.lookup(x, start + t), h, c, w, b)
+            h, c = lstm_step(graph, graph.lookup(x, start + t), h, c, cell)
             hidden.append(h)
         final_h.append(h)
         final_c.append(c)
@@ -230,14 +214,14 @@ def _lstm_chain(graph, inputs, cell, dim):
     h, c = Tensor(np.zeros(dim)), Tensor(np.zeros(dim))
     hidden = []
     for x in inputs:
-        h, c = graph.lstm_step(x, h, c, cell.w, cell.b)
+        h, c = lstm_step(graph, x, h, c, cell)
         hidden.append(h)
     return hidden, (h, c)
 
 
 def ref_encode_document(graph, sentences, params):
     """encode_document for one document, one lookup per word and one
-    lstm_step per LSTM input."""
+    encoders.lstm_step per LSTM input."""
     if not sentences or not all(sentences):
         raise EmptyInputError("empty document or sentence")
     word_vectors = [[graph.lookup(params.embeddings, t) for t in s] for s in sentences]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ordernet.autodiff import Graph, Param, Tensor, grad_check
+from ordernet.encoders import LstmCell, lstm_step
 from ordernet.errors import (
     EmptyInputError,
     IndexRangeError,
@@ -344,7 +345,7 @@ def test_grad_check_every_primitive_under_1e_5():
             "mean_rows": lambda g: _weighted_sum(g, g.mean_rows(a), w_v4),
             "pick": lambda g: g.pick(v, 1),
             "lstm_step": lambda g: _weighted_sum(
-                g, g.concat(g.lstm_step(v, u, pos3, lstm_w, lstm_b)), w_v6),
+                g, g.concat(lstm_step(g, v, u, pos3, LstmCell(lstm_w, lstm_b, 3))), w_v6),
             "lstm_sequence": lambda g: _weighted_sum(g, _sequence_outputs(
                 g, g.lstm_sequence(seq_x, (3, 1, 2), seq_h0, seq_c0, seq_w, seq_b)), w_12_2),
             "lstm_sequence_finals": lambda g: _weighted_sum(g, g.stack_rows(

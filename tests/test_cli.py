@@ -173,6 +173,20 @@ def test_eval_beam_strategy_runs(capsys, toy_corpus_dir, toy_checkpoint):
     assert re.search(r"^count=12$", out, re.M)
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--beam", "0"],
+    ["decode", "--beam", "0"],
+    ["oracle", "--beams", "1,x"],
+    ["oracle", "--beams", "2,0"],
+])
+def test_bad_beam_sizes_fail_with_one_error_line(capsys, toy_corpus_dir, toy_checkpoint, argv):
+    rc, _, err = run_cli(capsys, argv + ["--checkpoint", toy_checkpoint,
+                                         "--test", str(toy_corpus_dir / "test.txt")])
+    assert rc == 1
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "beam" in err
+
+
 def test_eval_of_an_empty_file_fails_with_one_error_line(capsys, toy_checkpoint, tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("", encoding="utf-8")

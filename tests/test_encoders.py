@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import composed_cnn_vector, composed_lstm_step, ref_lstm_step, stepwise_lstm_sequence
+from helpers import composed_cnn_vector, ref_lstm_step, stepwise_lstm_sequence
 
 from ordernet.autodiff import Graph, Param, Tensor, grad_check
 from ordernet.encoders import (
@@ -76,72 +76,6 @@ def test_lstm_step_matches_flat_reference():
         assert np.array_equal(c.value, rc)
 
 
-def _run_lstm(step, rng_seed, dims, steps):
-    """Run an LSTM with external uses of every state; return values and grads."""
-    rng = np.random.default_rng(rng_seed)
-    k, d = dims
-    cell = LstmCell.create("c", k, d, rng)
-    cell.w.value[...] = rng.normal(scale=0.7, size=cell.w.value.shape)
-    cell.b.value[...] = rng.normal(size=cell.b.value.shape)
-    xs = [Param(f"x{t}", rng.normal(size=k)) for t in range(steps)]
-    h = Param("h0", rng.normal(size=d))
-    c = Param("c0", rng.normal(size=d))
-    weights = [rng.normal(size=d) for _ in range(2 * steps)]
-    leaves = xs + [h, c, cell.b, cell.w]
-    g = Graph()
-    total = None
-    for t, x in enumerate(xs):
-        h, c = step(g, x, h, c, cell)
-        # Every hidden and cell state also feeds the objective directly, so
-        # their gradients mix outside and inside contributions.
-        for state, w in ((h, weights[2 * t]), (c, weights[2 * t + 1])):
-            term = g.matmul(state, Tensor(w))
-            total = term if total is None else g.add(total, term)
-    g.backward(total)
-    return [h.value, c.value] + [leaf.grad.copy() for leaf in leaves]
-
-
-def test_fused_lstm_step_matches_the_composed_step():
-    # Values and every gradient but the weight matrix's are bit-identical;
-    # the fused op sums the weight's per-step outer products in one GEMM.
-    worst = 0.0
-    for trial in range(40):
-        dims = (int(3 + trial % 5), int(2 + trial % 7))
-        fused = _run_lstm(lstm_step, trial, dims, steps=1 + trial % 4)
-        composed = _run_lstm(composed_lstm_step, trial, dims, steps=1 + trial % 4)
-        for a, b in zip(fused[:-1], composed[:-1]):
-            assert np.array_equal(a, b)
-        scale = max(np.abs(composed[-1]).max(), 1e-300)
-        worst = max(worst, np.abs(fused[-1] - composed[-1]).max() / scale)
-    assert worst <= 1e-13, f"weight gradient differs by {worst:.3e}"
-
-
-def test_fused_lstm_weight_gradient_is_summed_once_per_backward_pass():
-    rng = np.random.default_rng(3)
-    cell = LstmCell.create("c", 3, 2, rng)
-    plain_w = Tensor(cell.w.value.copy())  # not a Param: outer products added per step
-    xs = [Tensor(rng.normal(size=3)) for _ in range(4)]
-
-    def run(w):
-        g = Graph()
-        h, c = Tensor(np.zeros(2)), Tensor(np.zeros(2))
-        for x in xs:
-            h, c = g.lstm_step(x, h, c, w, cell.b)
-        return g, g.add(g.sum(h), g.sum(c))
-
-    graph, total = run(cell.w)
-    graph.backward(total)
-    once = cell.w.grad.copy()
-    # A second pass adds the same one-call sum again, and nothing left over
-    # from the first pass.
-    graph.backward(total)
-    assert np.array_equal(cell.w.grad, 2.0 * once)
-
-    graph, total = run(plain_w)
-    graph.backward(total)
-    assert np.allclose(plain_w.grad, once, rtol=1e-13, atol=1e-15)
-
-
 def test_a_graph_with_lstm_steps_is_freed_without_the_cycle_collector():
     # A backward closure that referenced its graph made every training graph
     # wait for gc, which raised peak memory by tens of MB.
@@ -149,8 +83,7 @@ def test_a_graph_with_lstm_steps_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         g = Graph()
-        h, c = g.lstm_step(Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(np.zeros(2)),
-                           cell.w, cell.b)
+        h, c = lstm_step(g, Tensor(np.ones(3)), Tensor(np.zeros(2)), Tensor(np.zeros(2)), cell)
         hidden, final_h, final_c = g.lstm_sequence(
             Tensor(np.ones((2, 3))), [2], Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))),
             cell.w, cell.b)
@@ -163,15 +96,16 @@ def test_a_graph_with_lstm_steps_is_freed_without_the_cycle_collector():
 
 
 def test_fused_lstm_step_rejects_mismatched_shapes():
+    # encoders.lstm_step, composed of primitives; each one checks its shapes.
     cell = LstmCell.create("c", 3, 2, np.random.default_rng(0))
     g = Graph()
     h, c = Tensor(np.zeros(2)), Tensor(np.zeros(2))
     with pytest.raises(ShapeError):
-        g.lstm_step(Tensor(np.zeros(4)), h, c, cell.w, cell.b)
+        lstm_step(g, Tensor(np.zeros(4)), h, c, cell)
     with pytest.raises(ShapeError):
-        g.lstm_step(Tensor(np.zeros(3)), h, Tensor(np.zeros(3)), cell.w, cell.b)
+        lstm_step(g, Tensor(np.zeros(3)), h, Tensor(np.zeros(3)), cell)
     with pytest.raises(ShapeError):
-        g.lstm_step(Tensor(np.zeros(3)), h, c, cell.w, Tensor(np.zeros(7)))
+        lstm_step(g, Tensor(np.zeros(3)), h, c, LstmCell(cell.w, Tensor(np.zeros(7)), 2))
 
 
 def _run_lstm_sequence(run, seed, keep_hidden):

@@ -136,21 +136,6 @@ def _tensor(graph, value):
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
-def test_projected_keys_are_cached_per_stop_mode():
-    rng = np.random.default_rng(2)
-    params = tiny_params("cbow", seed=0)
-    g = Graph(recording=False)
-    enc = encode_document(g, random_sentences(rng, 12, 3), params)
-    d = _tensor(g, rng.normal(size=params.hidden_dim))
-    decode_step(g, d, enc, np.zeros(3, bool), params, allow_stop=False)
-    first = enc._projected_keys[False]
-    decode_step(g, d, enc, np.zeros(3, bool), params, allow_stop=False)
-    assert enc._projected_keys[False] is first
-    decode_step(g, d, enc, np.zeros(4, bool), params, allow_stop=True)
-    assert set(enc._projected_keys) == {False, True}
-    assert enc._projected_keys[True].value.shape == (4, params.hidden_dim)
-
-
 def test_advance_decoder_start_sentinel_and_range_check():
     rng = np.random.default_rng(3)
     params = tiny_params("cbow", seed=1)
@@ -415,3 +400,35 @@ def test_lstm_saliency_matches_the_step_by_step_encoder(monkeypatch):
             assert len(row) == len(ref_row)
             for value, ref in zip(row, ref_row):
                 assert value == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+
+def test_saliency_restores_every_parameter_gradient():
+    rng = np.random.default_rng(12)
+    for kind in ("cbow", "cnn", "lstm"):
+        params = tiny_params(kind, seed=7)
+        for p in params.all_params():
+            p.grad[...] = rng.normal(size=p.grad.shape)
+        before = [p.grad.copy() for p in params.all_params()]
+        sentences = random_sentences(rng, 12, 3)
+        inst = SimpleNamespace(inputs=sentences, target=[0, 1, 2, 3])
+        result = saliency(inst, prefix=[1], params=params, choice=3, allow_stop=True)
+        assert any(v > 0.0 for scores in result.scores for v in scores)
+        for p, grad in zip(params.all_params(), before):
+            assert np.array_equal(p.grad, grad), (kind, p.name)
+
+
+@pytest.mark.parametrize("prefix, choice", [
+    ([-1], None),     # would hide the last slot and feed START twice
+    ([0, 0], None),   # a repeated position
+    ([5], None),      # past the last of three sentences
+    ([3], None),      # the stop slot is no input position
+    ([1], 1),         # already chosen
+    ([], 3),          # the stop slot without allow_stop
+    ([], -1),
+])
+def test_saliency_rejects_an_invalid_prefix_or_choice(prefix, choice):
+    params = tiny_params("cbow", seed=8)
+    inst = SimpleNamespace(inputs=random_sentences(np.random.default_rng(13), 12, 3),
+                           target=[0, 1, 2])
+    with pytest.raises(InvalidOrderError):
+        saliency(inst, prefix, params, choice)

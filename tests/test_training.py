@@ -12,7 +12,7 @@ from ordernet import training
 from ordernet.autodiff import Graph, Param
 from ordernet.corpus import Document, Vocab, build_instances, build_vocab
 from ordernet.errors import CheckpointError, ConfigError, InvalidOrderError, NumericError
-from ordernet.model import Order, batch_loss
+from ordernet.model import Order, batch_loss, saliency
 from ordernet.training import (
     AdaGradState,
     EpochRecord,
@@ -137,6 +137,24 @@ def test_identical_seeds_train_bit_identically():
         train_epoch(model, docs, 2, state)
     for name, value in params_of(model_a).items():
         assert np.array_equal(value, params_of(model_b)[name]), name
+
+
+def test_an_epoch_after_saliency_trains_as_one_without_it():
+    # saliency backpropagates through the live parameters; an epoch that
+    # found its gradients there would fold them into its first update.
+    trained = []
+    for probe in (False, True):
+        model, docs = tiny_model(seed=3)
+        params = model.params.all_params()
+        state = AdaGradState(params, model.config.learning_rate, model.config.adagrad_epsilon)
+        if probe:
+            inst = build_instances(docs, model.vocab, 3, 0)[0]
+            saliency(inst, [1], model.params, choice=0)
+            assert all(not p.grad.any() for p in params)
+        train_epoch(model, docs, 1, state)
+        trained.append(params_of(model))
+    for name, value in trained[0].items():
+        assert np.array_equal(value, trained[1][name]), name
 
 
 def test_a_non_finite_log_probability_stops_training_naming_the_document():
