@@ -187,9 +187,9 @@ def cmd_eval(args):
         report = aggregate([(inst.gold_positions, inst.gold_positions)
                             for inst in instances])
     elif args.beam is not None:
-        report = evaluate(model, instances, "beam", args.beam, jobs=args.jobs or 1)
+        report = evaluate(model, instances, "beam", args.beam, jobs=args.jobs)
     else:
-        report = evaluate(model, instances, "greedy", jobs=args.jobs or 1)
+        report = evaluate(model, instances, "greedy", jobs=args.jobs)
 
     echo = _config_echo(cfg)
     text = echo + "\n" + report.to_flat_text()
@@ -209,7 +209,7 @@ def cmd_decode(args):
     seed = args.seed if args.seed is not None else cfg.seed
     instances = _eval_instances(model, corpus.documents, seed)
     strategy = "beam" if args.beam is not None else "greedy"
-    orders = decode_instances(model, instances, strategy, args.beam, jobs=args.jobs or 1)
+    orders = decode_instances(model, instances, strategy, args.beam, jobs=args.jobs)
 
     lines = [_config_echo(cfg)]
     for inst, order in zip(instances, orders):
@@ -358,7 +358,7 @@ def build_parser():
     shared.add_argument("--fixed-length", dest="fixed_length", choices=("on", "off"))
     shared.add_argument("--checkpoint")
     shared.add_argument("--out")
-    shared.add_argument("--jobs", type=int)
+    shared.add_argument("--jobs", type=int, default=1)
 
     sub = parser.add_subparsers(dest="command", required=True)
 

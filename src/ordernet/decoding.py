@@ -6,9 +6,14 @@ stop slot numbered n, so stopping loses ties to any position).  Scores are
 raw sums of step log-probabilities; nothing is length-normalized.
 
 Greedy and beam search step a BatchDecoder, a forward-only copy of the
-decoder on plain arrays; exhaustive search and rescoring teacher-force the
-differentiable Graph path of ordernet.model.  No search runs the per-step
-Graph functions, which compose primitives and have no fused op.
+decoder on plain arrays built from one non-recording encode_batch call.
+Every decoder input is START or one of the document's sentence vectors, so
+the input half of the decoder LSTM product is computed once per document
+(input_pre = [start; sentences] @ W_x + b) and each step only adds
+hidden @ W_h to the rows it gathers.  Exhaustive search and rescoring
+teacher-force the differentiable Graph path of ordernet.model.  No search
+runs the per-step Graph functions, which compose primitives and have no
+fused op.
 """
 
 from __future__ import annotations
@@ -20,12 +25,12 @@ import numpy as np
 from .autodiff import Graph, lstm_cell
 from .errors import IndexRangeError, InvalidOrderError
 from .metrics import lsr_scores, pm_scores
-from .model import START, Order, encode_document, sequence_log_prob
+from .model import START, Order, encode_batch, sequence_log_prob
 
-# The per-step Graph functions stay bound here so that a profiler can wrap
-# them in this namespace (bench/tracing.py does); the searches below use
-# BatchDecoder instead.
-from .model import advance_decoder, decode_step  # noqa: F401
+# The per-step Graph functions and encode_document stay bound here so that
+# a profiler can wrap them in this namespace (bench/tracing.py does); the
+# searches below use BatchDecoder instead.
+from .model import advance_decoder, decode_step, encode_document  # noqa: F401
 
 EXHAUSTIVE_LIMIT = 8  # factorial guard
 
@@ -33,39 +38,39 @@ EXHAUSTIVE_LIMIT = 8  # factorial guard
 class BatchDecoder:
     """Forward-only pointer decoder over plain arrays, for a batch of rows.
 
-    The document is encoded once, on a non-recording Graph, and the
-    attention keys are projected once.  Each row of a batch is one decoder
-    state; advance() and log_probs() apply the decoder LSTM step and the
-    pointing distribution of model.advance_decoder and model.decode_step to
-    every row at once, with no gradient buffers.
+    The document is encoded once, by encode_batch on a non-recording Graph,
+    and its outputs are read as arrays.  The attention keys are projected
+    once, and so is the decoder input: row 0 of input_pre is the START
+    input and row j + 1 the vector of sentence j, each times the input
+    rows of the decoder LSTM weight plus its bias.  Each row of a batch is
+    one decoder state; advance() and log_probs() apply the decoder LSTM
+    step and the pointing distribution of model.advance_decoder and
+    model.decode_step to every row at once, with no gradient buffers.
     """
 
     def __init__(self, sentences, params, variable_length=False):
-        encoded = encode_document(Graph(recording=False), sentences, params)
+        batch = encode_batch(Graph(recording=False), [sentences], params)
         hd = params.hidden_dim
-        keys = [t.value for t in encoded.context_hidden]
+        keys = batch.context.value
         if variable_length:
-            keys.append(params.stop_key.value)
+            keys = np.vstack([keys, params.stop_key.value])
         self.n = len(sentences)
         self.slots = len(keys)  # n, or n + 1 with the stop slot last
-        self.keys = np.stack(keys) @ params.attn_w.value[:hd]
+        self.keys = keys @ params.attn_w.value[:hd]
         self.query_w = params.attn_w.value[hd:]
         self.attn_v = params.attn_v.value
-        # Row 0 is the START input, row j + 1 the vector of sentence j.
-        self.inputs = np.stack([params.start_input.value]
-                               + [t.value for t in encoded.sentence_vectors])
-        self.cell_w = params.decoder_cell.w.value
-        self.cell_b = params.decoder_cell.b.value
-        hidden, cell = encoded.final_state
-        self.initial = (hidden.value[None, :], cell.value[None, :])
+        cell_w = params.decoder_cell.w.value  # input rows, then hd hidden rows
+        inputs = np.vstack([params.start_input.value, batch.sentences.value])
+        self.input_pre = inputs @ cell_w[:-hd] + params.decoder_cell.b.value
+        self.hidden_w = cell_w[-hd:]
+        self.initial = (batch.final_h.value, batch.final_c.value)
 
     def advance(self, hidden, cell, chosen):
         """Decoder LSTM step of every row; chosen[r] is START or a position."""
         chosen = np.asarray(chosen)
         if np.any((chosen < START) | (chosen >= self.n)):
             raise IndexRangeError(f"chosen positions {chosen} outside {self.n} inputs")
-        x = self.inputs[chosen + 1]
-        pre = np.concatenate([x, hidden], axis=1) @ self.cell_w + self.cell_b
+        pre = self.input_pre[chosen + 1] + hidden @ self.hidden_w
         hidden, cell, _ = lstm_cell(pre, cell)
         return hidden, cell
 

@@ -280,6 +280,8 @@ def decode_instances(model, instances, strategy="greedy", beam_size=None, jobs=1
     """Predicted orders for a list of instances, in input order."""
     if strategy not in ("greedy", "beam"):
         raise ConfigError(f"unknown decode strategy {strategy!r}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
     if beam_size is None:
         beam_size = model.config.beam_size
     if jobs > 1 and len(instances) > 1:

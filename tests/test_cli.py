@@ -187,6 +187,17 @@ def test_bad_beam_sizes_fail_with_one_error_line(capsys, toy_corpus_dir, toy_che
     assert "beam" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "decode"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bad_job_counts_fail_with_one_error_line(capsys, toy_corpus_dir, toy_checkpoint,
+                                                 command, jobs):
+    rc, _, err = run_cli(capsys, [command, "--jobs", jobs, "--checkpoint", toy_checkpoint,
+                                  "--test", str(toy_corpus_dir / "test.txt")])
+    assert rc == 1
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "jobs" in err
+
+
 def test_eval_of_an_empty_file_fails_with_one_error_line(capsys, toy_checkpoint, tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("", encoding="utf-8")

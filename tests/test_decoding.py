@@ -7,7 +7,7 @@ import pytest
 
 from helpers import overwrite_well_scaled, random_sentences, ref_beam_decode, tiny_params
 
-from ordernet import model
+from ordernet import decoding, model
 from ordernet.autodiff import Graph, Tensor
 from ordernet.decoding import (
     EXHAUSTIVE_LIMIT,
@@ -18,9 +18,10 @@ from ordernet.decoding import (
     oracle_in_beam,
     rescore,
 )
+from ordernet.encoders import EncoderConfig
 from ordernet.errors import IndexRangeError, InvalidOrderError
 from ordernet.metrics import pm_scores
-from ordernet.model import Order
+from ordernet.model import Order, PtrNetParams
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,47 @@ def test_batch_decoder_rejects_positions_outside_the_document():
         decoder.advance(*decoder.initial, [model.START - 1])
 
 
+def standard_params(kind, seed, vocab_size=40):
+    """The default encoder dimensions (cnn: 128 maps x widths 3, 4, 5) and hidden 200."""
+    return PtrNetParams.create(EncoderConfig(kind=kind), 200, vocab_size, seed)
+
+
+def test_batch_decoder_advance_equals_graph_step_at_standard_dimensions():
+    # The cached input projection splits the decoder product at the input
+    # width: 384 rows on cnn, 100 on cbow, 200 on lstm.
+    rng = np.random.default_rng(19)
+    for kind in ("cnn", "cbow", "lstm"):
+        params = standard_params(kind, seed=17)
+        sentences = random_sentences(rng, 40, 6, max_words=8)
+        decoder = BatchDecoder(sentences, params)
+        encoded = model.encode_document(Graph(recording=False), sentences, params)
+        chosen = np.arange(model.START, len(sentences))
+        hidden = rng.normal(size=(len(chosen), 200))
+        cell = rng.normal(size=(len(chosen), 200))
+        new_hidden, new_cell = decoder.advance(hidden, cell, chosen)
+        for r, position in enumerate(chosen.tolist()):
+            h, c = model.advance_decoder(Graph(recording=False),
+                                         (Tensor(hidden[r]), Tensor(cell[r])),
+                                         position, encoded, params)
+            assert np.max(np.abs(new_hidden[r] - h.value)) <= 1e-12
+            assert np.max(np.abs(new_cell[r] - c.value)) <= 1e-12
+
+
+def test_search_never_builds_per_word_row_views(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("search called encode_document")
+
+    monkeypatch.setattr(model, "encode_document", refuse)
+    monkeypatch.setattr(decoding, "encode_document", refuse)
+    rng = np.random.default_rng(20)
+    for kind in ("cbow", "cnn", "lstm"):
+        params = tiny_params(kind, seed=21)
+        sentences = random_sentences(rng, 12, 4)
+        for variable in (False, True):
+            greedy_decode(sentences, params, variable)
+            beam_decode(sentences, params, 8, variable)
+
+
 def test_beam_matches_per_candidate_reference():
     rng = np.random.default_rng(15)
     uneven_finish = False
@@ -114,6 +156,23 @@ def test_beam_matches_per_candidate_reference():
         assert best == beam[0]
         uneven_finish |= len({len(o.positions) for o in beam}) > 1
     assert uneven_finish, "no beam held candidates that stopped at different levels"
+
+
+def test_wide_beam_matches_per_candidate_reference_at_standard_dimensions():
+    rng = np.random.default_rng(22)
+    for trial, kind in enumerate(("cnn", "cbow")):
+        params = standard_params(kind, seed=23 + trial)
+        # At the initial scale a fixed-length beam's scores lie within 0.01
+        # of a uniform order's; weights of 0.05-0.2 spread them over a
+        # quarter to half a nat.
+        overwrite_well_scaled(params, seed=23 + trial, low=0.05, high=0.2)
+        for variable in (False, True):
+            sentences = random_sentences(rng, 40, 6, max_words=6)
+            _, beam = beam_decode(sentences, params, 64, variable)
+            _, ref_beam = ref_beam_decode(sentences, params, 64, variable)
+            assert [o.positions for o in beam] == [o.positions for o in ref_beam]
+            for order, ref in zip(beam, ref_beam):
+                assert abs(order.log_prob - ref.log_prob) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
