@@ -6,14 +6,16 @@ stop slot numbered n, so stopping loses ties to any position).  Scores are
 raw sums of step log-probabilities; nothing is length-normalized.
 
 Greedy and beam search step a BatchDecoder, a forward-only copy of the
-decoder on plain arrays built from one non-recording encode_batch call.
-Every decoder input is START or one of the document's sentence vectors, so
-the input half of the decoder LSTM product is computed once per document
-(input_pre = [start; sentences] @ W_x + b) and each step only adds
-hidden @ W_h to the rows it gathers.  Exhaustive search and rescoring
-teacher-force the differentiable Graph path of ordernet.model.  No search
-runs the per-step Graph functions, which compose primitives and have no
-fused op.
+decoder on plain arrays.  BatchDecoder.for_documents builds the decoders
+of many documents from one non-recording encode_batch call: the attention
+keys of every document (and the stop key) are projected by one GEMM, and
+so is every decoder input.  Each input is START or one of a document's
+sentence vectors, so the input half of the decoder LSTM product is
+computed once (input_pre = [start; sentences] @ W_x + b) and each step
+only adds hidden @ W_h to the rows it gathers.  Exhaustive search and
+rescoring teacher-force the differentiable Graph path of ordernet.model.
+No search runs the per-step Graph functions, which compose primitives and
+have no fused op.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 import numpy as np
 
 from .autodiff import Graph, lstm_cell
-from .errors import IndexRangeError, InvalidOrderError
+from .errors import IndexRangeError, InvalidOrderError, ShapeError
 from .metrics import lsr_scores, pm_scores
 from .model import START, Order, encode_batch, sequence_log_prob
 
@@ -36,10 +38,10 @@ EXHAUSTIVE_LIMIT = 8  # factorial guard
 
 
 class BatchDecoder:
-    """Forward-only pointer decoder over plain arrays, for a batch of rows.
+    """Forward-only pointer decoder of one document over plain arrays.
 
-    The document is encoded once, by encode_batch on a non-recording Graph,
-    and its outputs are read as arrays.  The attention keys are projected
+    The document is encoded by encode_batch on a non-recording Graph, and
+    its outputs are read as arrays.  The attention keys are projected
     once, and so is the decoder input: row 0 of input_pre is the START
     input and row j + 1 the vector of sentence j, each times the input
     rows of the decoder LSTM weight plus its bias.  Each row of a batch is
@@ -49,21 +51,45 @@ class BatchDecoder:
     """
 
     def __init__(self, sentences, params, variable_length=False):
-        batch = encode_batch(Graph(recording=False), [sentences], params)
+        (decoder,) = self.for_documents([sentences], params, [variable_length])
+        vars(self).update(vars(decoder))
+
+    @classmethod
+    def for_documents(cls, documents, params, variable_flags):
+        """One decoder per document, all from a single encode_batch call.
+
+        The keys of every document plus the stop key, and the START input
+        plus every sentence vector, are each projected by one GEMM; each
+        decoder then gathers its own rows.  variable_flags[b] gives document
+        b the stop slot.
+        """
+        if len(variable_flags) != len(documents):
+            raise ShapeError(f"{len(variable_flags)} length modes for {len(documents)} documents")
+        batch = encode_batch(Graph(recording=False), documents, params)
         hd = params.hidden_dim
-        keys = batch.context.value
-        if variable_length:
-            keys = np.vstack([keys, params.stop_key.value])
-        self.n = len(sentences)
-        self.slots = len(keys)  # n, or n + 1 with the stop slot last
-        self.keys = keys @ params.attn_w.value[:hd]
-        self.query_w = params.attn_w.value[hd:]
-        self.attn_v = params.attn_v.value
+        attn_w = params.attn_w.value
         cell_w = params.decoder_cell.w.value  # input rows, then hd hidden rows
+        # Key row len(context) is the stop key; input row 0 is START and
+        # row 1 + i sentence i of the batch.
+        context = batch.context.value
+        keys = np.vstack([context, params.stop_key.value]) @ attn_w[:hd]
         inputs = np.vstack([params.start_input.value, batch.sentences.value])
-        self.input_pre = inputs @ cell_w[:-hd] + params.decoder_cell.b.value
-        self.hidden_w = cell_w[-hd:]
-        self.initial = (batch.final_h.value, batch.final_c.value)
+        input_pre = inputs @ cell_w[:-hd] + params.decoder_cell.b.value
+        decoders = []
+        for b, (offset, n, variable) in enumerate(
+                zip(batch.doc_offsets.tolist(), batch.doc_lengths.tolist(), variable_flags)):
+            key_rows = list(range(offset, offset + n)) + ([len(context)] if variable else [])
+            decoder = cls.__new__(cls)
+            decoder.n = n
+            decoder.slots = len(key_rows)  # n, or n + 1 with the stop slot last
+            decoder.keys = keys[key_rows]
+            decoder.query_w = attn_w[hd:]
+            decoder.attn_v = params.attn_v.value
+            decoder.input_pre = input_pre[[0] + list(range(offset + 1, offset + n + 1))]
+            decoder.hidden_w = cell_w[-hd:]
+            decoder.initial = (batch.final_h.value[b:b + 1], batch.final_c.value[b:b + 1])
+            decoders.append(decoder)
+        return decoders
 
     def advance(self, hidden, cell, chosen):
         """Decoder LSTM step of every row; chosen[r] is START or a position."""
@@ -86,10 +112,24 @@ class BatchDecoder:
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def greedy_decode(sentences, params, variable_length=False):
-    """Follow the argmax at every step; ties go to the lowest slot index."""
+def _decoder_of(sentences, params, variable_length, decoder):
+    """The given decoder after checking that it fits, else a new one."""
+    if decoder is None:
+        return BatchDecoder(sentences, params, variable_length)
+    if (decoder.n, decoder.slots) != (len(sentences), len(sentences) + bool(variable_length)):
+        raise ShapeError(f"decoder of {decoder.n} inputs and {decoder.slots} slots does not fit "
+                         f"{len(sentences)} sentences (variable length {variable_length})")
+    return decoder
+
+
+def greedy_decode(sentences, params, variable_length=False, decoder=None):
+    """Follow the argmax at every step; ties go to the lowest slot index.
+
+    decoder, when given, is the document's BatchDecoder, built beforehand
+    (by BatchDecoder.for_documents, say) from the same sentences and params.
+    """
     n = len(sentences)
-    decoder = BatchDecoder(sentences, params, variable_length)
+    decoder = _decoder_of(sentences, params, variable_length, decoder)
     hidden, cell = decoder.initial
     mask = np.zeros((1, decoder.slots), dtype=bool)
 
@@ -115,19 +155,19 @@ def greedy_decode(sentences, params, variable_length=False):
     return Order(tuple(positions), stopped, log_prob)
 
 
-def beam_decode(sentences, params, beam_size, variable_length=False):
+def beam_decode(sentences, params, beam_size, variable_length=False, decoder=None):
     """Beam search; returns (best order, the whole finished beam).
 
     Finished candidates stay in the beam at their final score and compete
     with live ones for the beam_size slots.  The search runs until every
     survivor is finished, which takes at most n+1 levels.  Each level scores
     every live candidate in one log_probs call and advances the surviving
-    children in one advance call.
+    children in one advance call.  decoder is as for greedy_decode.
     """
     if beam_size < 1:
         raise IndexRangeError(f"beam size must be positive, got {beam_size}")
     n = len(sentences)
-    decoder = BatchDecoder(sentences, params, variable_length)
+    decoder = _decoder_of(sentences, params, variable_length, decoder)
     # Candidates are (log_prob, key, positions, parent row), the key being
     # the positions with the stop slot n appended once finished and the
     # parent row None once finished.  Row r of hidden, cell and mask holds

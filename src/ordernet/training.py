@@ -21,7 +21,7 @@ from .autodiff import Graph, squared_norm
 from .corpus import Vocab, build_instances, noise_pool_of, stable_seed
 from .encoders import EncoderConfig
 from .errors import CheckpointError, ConfigError, InvalidOrderError, NumericError
-from .decoding import beam_decode, greedy_decode
+from .decoding import BatchDecoder, beam_decode, greedy_decode
 from .metrics import aggregate
 from .model import PtrNetParams, batch_loss
 
@@ -263,34 +263,51 @@ def _worker_init(model, strategy, beam_size):
     _WORKER_MODEL = (model, strategy, beam_size)
 
 
-def _worker_decode(inst):
+def _worker_decode(chunk):
     model, strategy, beam_size = _WORKER_MODEL
-    return _decode_instance(model, inst, strategy, beam_size)
+    return _decode_chunk(model, chunk, strategy, beam_size)
 
 
-def _decode_instance(model, inst, strategy, beam_size):
-    variable = inst.has_stop
-    if strategy == "greedy":
-        return greedy_decode(inst.inputs, model.params, variable)
-    best, _ = beam_decode(inst.inputs, model.params, beam_size, variable)
-    return best
+def _decode_chunk(model, chunk, strategy, beam_size):
+    """Decode a chunk of instances from one encoding of all their documents."""
+    decoders = BatchDecoder.for_documents(
+        [inst.inputs for inst in chunk], model.params, [inst.has_stop for inst in chunk])
+    orders = []
+    for inst, decoder in zip(chunk, decoders):
+        if strategy == "greedy":
+            orders.append(greedy_decode(inst.inputs, model.params, inst.has_stop,
+                                        decoder=decoder))
+        else:
+            best, _ = beam_decode(inst.inputs, model.params, beam_size, inst.has_stop,
+                                  decoder=decoder)
+            orders.append(best)
+    return orders
 
 
 def decode_instances(model, instances, strategy="greedy", beam_size=None, jobs=1):
-    """Predicted orders for a list of instances, in input order."""
+    """Predicted orders for a list of instances, in input order.
+
+    Instances are decoded in consecutive chunks of model.config.batch_size,
+    each from one forward-only encoding of its documents.  With jobs > 1
+    the chunks (the same ones whatever jobs is) are spread over worker
+    processes, so there is work to split only when there is more than one.
+    """
     if strategy not in ("greedy", "beam"):
         raise ConfigError(f"unknown decode strategy {strategy!r}")
     if jobs < 1:
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
     if beam_size is None:
         beam_size = model.config.beam_size
-    if jobs > 1 and len(instances) > 1:
+    size = model.config.batch_size
+    chunks = [instances[lo:lo + size] for lo in range(0, len(instances), size)]
+    if jobs > 1 and len(chunks) > 1:
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_worker_init,
+                max_workers=min(jobs, len(chunks)), initializer=_worker_init,
                 initargs=(model, strategy, beam_size)) as pool:
-            return list(pool.map(_worker_decode, instances,
-                                 chunksize=max(1, len(instances) // (jobs * 4))))
-    return [_decode_instance(model, inst, strategy, beam_size) for inst in instances]
+            decoded = list(pool.map(_worker_decode, chunks))
+    else:
+        decoded = [_decode_chunk(model, chunk, strategy, beam_size) for chunk in chunks]
+    return [order for orders in decoded for order in orders]
 
 
 def evaluate(model, instances, strategy="greedy", beam_size=None, jobs=1):

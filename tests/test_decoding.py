@@ -19,7 +19,7 @@ from ordernet.decoding import (
     rescore,
 )
 from ordernet.encoders import EncoderConfig
-from ordernet.errors import IndexRangeError, InvalidOrderError
+from ordernet.errors import IndexRangeError, InvalidOrderError, ShapeError
 from ordernet.metrics import pm_scores
 from ordernet.model import Order, PtrNetParams
 
@@ -92,6 +92,20 @@ def test_batch_decoder_rejects_positions_outside_the_document():
         decoder.advance(*decoder.initial, [3])
     with pytest.raises(IndexRangeError):
         decoder.advance(*decoder.initial, [model.START - 1])
+
+
+def test_a_decoder_that_does_not_fit_the_document_is_refused():
+    params = tiny_params("cbow", seed=6)
+    rng = np.random.default_rng(22)
+    documents = [random_sentences(rng, 12, 3), random_sentences(rng, 12, 4)]
+    with pytest.raises(ShapeError):
+        BatchDecoder.for_documents(documents, params, [False])
+    three, four = BatchDecoder.for_documents(documents, params, [False, True])
+    greedy_decode(documents[1], params, True, decoder=four)
+    with pytest.raises(ShapeError):
+        greedy_decode(documents[1], params, True, decoder=three)
+    with pytest.raises(ShapeError):
+        beam_decode(documents[1], params, 4, False, decoder=four)
 
 
 def standard_params(kind, seed, vocab_size=40):

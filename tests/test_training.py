@@ -8,10 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordernet import training
+from helpers import overwrite_well_scaled
+
+from ordernet import decoding, training
+from ordernet import model as ptr_model
 from ordernet.autodiff import Graph, Param
 from ordernet.corpus import Document, Vocab, build_instances, build_vocab
-from ordernet.errors import CheckpointError, ConfigError, InvalidOrderError, NumericError
+from ordernet.errors import (
+    CheckpointError,
+    ConfigError,
+    EmptyInputError,
+    InvalidOrderError,
+    NumericError,
+)
+from ordernet.metrics import aggregate
 from ordernet.model import Order, batch_loss, saliency
 from ordernet.training import (
     AdaGradState,
@@ -302,7 +312,7 @@ def test_evaluate_rejects_a_fixed_length_order_that_is_no_permutation(monkeypatc
     model, docs = tiny_model()
     instances = build_instances(docs[:2], model.vocab, model.config.seed, 0)
     monkeypatch.setattr(training, "greedy_decode",
-                        lambda sentences, params, variable: Order((0, 0, 0, 0, 0), False, 0.0))
+                        lambda sentences, params, variable, **_: Order((0, 0, 0, 0, 0), False, 0.0))
     with pytest.raises(InvalidOrderError, match=instances[0].doc_id):
         evaluate(model, instances)
 
@@ -315,6 +325,144 @@ def test_parallel_decoding_matches_serial():
     assert [o.positions for o in serial] == [o.positions for o in parallel]
     for a, b in zip(serial, parallel):
         assert a.log_prob == b.log_prob
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this function must not be called")
+
+
+def recording(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends (args, result) to calls."""
+    real = getattr(module, name)
+
+    def record(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, record)
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "beam"])
+def test_decoding_calls_one_search_per_instance_and_encodes_once_per_chunk(monkeypatch, strategy):
+    # What a caller that wraps training.greedy_decode / beam_decode (as the
+    # benchmark's capture does) relies on: one call per instance, in input
+    # order, whose result is what decode_instances returns.
+    model, docs = tiny_model(batch_size=3)
+    instances = build_instances(docs[:7], model.vocab, model.config.seed, 0)
+    searches, encodings = [], []
+    recording(monkeypatch, training, f"{strategy}_decode", searches)
+    recording(monkeypatch, decoding, "encode_batch", encodings)
+    other = "beam_decode" if strategy == "greedy" else "greedy_decode"
+    monkeypatch.setattr(training, other, refuse)
+    monkeypatch.setattr(ptr_model, "encode_document", refuse)
+    monkeypatch.setattr(decoding, "encode_document", refuse)
+
+    def outputs():
+        results = [result for _, result in searches]
+        return results if strategy == "greedy" else [best for best, _ in results]
+
+    orders = decode_instances(model, instances, strategy, beam_size=4)
+    assert len(searches) == len(instances)
+    assert all(args[0] is inst.inputs for (args, _), inst in zip(searches, instances))
+    assert len(orders) == len(instances)
+    assert all(order is output for order, output in zip(orders, outputs()))
+    assert [len(args[1]) for args, _ in encodings] == [3, 3, 1]
+
+    searches.clear()
+    encodings.clear()
+    report = evaluate(model, instances, strategy, beam_size=4)
+    assert len(searches) == len(instances)
+    assert all(args[0] is inst.inputs for (args, _), inst in zip(searches, instances))
+    assert report == aggregate([(list(order.positions), inst.gold_positions)
+                                for order, inst in zip(outputs(), instances)])
+    assert [len(args[1]) for args, _ in encodings] == [3, 3, 1]
+
+
+def mixed_instances(model, docs):
+    """Fixed-length and noised variable-length instances, alternating."""
+    seed = model.config.seed
+    fixed = build_instances(docs, model.vocab, seed, 0)
+    noised = build_instances(docs, model.vocab, seed, 0, noise_mode="always_one",
+                             fixed_length=False)
+    return [f if i % 2 else v for i, (f, v) in enumerate(zip(fixed, noised))]
+
+
+@pytest.mark.parametrize("encoder", ["cbow", "cnn", "lstm"])
+def test_chunked_decoding_equals_one_document_decoding(monkeypatch, encoder):
+    # Chunks of 3 over 7 instances, the last one alone; documents of 2 to 5
+    # inputs, with and without the stop slot, share each encoding.
+    model, _ = tiny_model(encoder=encoder, batch_size=3)
+    overwrite_well_scaled(model.params, seed=41, low=0.05, high=0.3)
+    docs = tiny_docs(4, seed=7, n_sentences=4) + tiny_docs(3, seed=8, n_sentences=2)
+    instances = mixed_instances(model, [docs[i] for i in (0, 4, 1, 5, 2, 6, 3)])
+    assert {inst.has_stop for inst in instances} == {False, True}
+    params = model.params
+
+    greedy = decode_instances(model, instances, "greedy")
+    for inst, order in zip(instances, greedy):
+        alone = training.greedy_decode(inst.inputs, params, inst.has_stop)
+        assert (order.positions, order.stopped) == (alone.positions, alone.stopped)
+        assert abs(order.log_prob - alone.log_prob) <= 1e-12
+
+    beams = []
+    recording(monkeypatch, training, "beam_decode", beams)
+    best = decode_instances(model, instances, "beam", beam_size=5)
+    monkeypatch.undo()
+    assert len(beams) == len(instances)
+    for inst, order, (_, (_, beam)) in zip(instances, best, beams):
+        _, alone = decoding.beam_decode(inst.inputs, params, 5, inst.has_stop)
+        assert order is beam[0]
+        assert [(o.positions, o.stopped) for o in beam] == [(o.positions, o.stopped) for o in alone]
+        assert max(abs(a.log_prob - b.log_prob) for a, b in zip(beam, alone)) <= 1e-10
+
+
+def test_parallel_decoding_over_several_chunks_matches_serial():
+    model, docs = tiny_model(batch_size=3)
+    instances = build_instances(docs[:8], model.vocab, model.config.seed, 0)
+    for strategy in ("greedy", "beam"):
+        serial = decode_instances(model, instances, strategy, beam_size=4, jobs=1)
+        parallel = decode_instances(model, instances, strategy, beam_size=4, jobs=2)
+        assert serial == parallel
+
+
+def test_worker_pool_maps_the_chunks_of_serial_decoding(monkeypatch):
+    # A document's encoding may differ in its last bit with the chunk it is
+    # encoded in, so the pool must get the chunks a single process decodes.
+    mapped = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            mapped.extend(chunks)
+            return map(fn, chunks)
+
+    monkeypatch.setattr(training.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(training, "_WORKER_MODEL", None)
+    model, docs = tiny_model(batch_size=3)
+    instances = build_instances(docs[:8], model.vocab, model.config.seed, 0)
+    for jobs in (2, 5):
+        mapped.clear()
+        assert decode_instances(model, instances, jobs=jobs) == decode_instances(model, instances)
+        assert mapped == [instances[0:3], instances[3:6], instances[6:8]]
+
+
+def test_no_instances_decode_to_nothing_and_evaluate_to_an_error(monkeypatch):
+    model, _ = tiny_model()
+    monkeypatch.setattr(decoding, "encode_batch", refuse)
+    for strategy in ("greedy", "beam"):
+        for jobs in (1, 2):
+            assert decode_instances(model, [], strategy, jobs=jobs) == []
+    with pytest.raises(EmptyInputError):
+        evaluate(model, [])
 
 
 # ---------------------------------------------------------------------------
