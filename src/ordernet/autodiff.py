@@ -13,6 +13,11 @@ scalar operand, and anything else raises ShapeError naming both shapes.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+from pathlib import Path
+
 import numpy as np
 
 from .errors import (
@@ -57,11 +62,14 @@ class Param(Tensor):
         return f"Param({self.name!r}, shape={self.value.shape})"
 
 
-def sigmoid(v):
-    """Elementwise logistic function of an array, split by sign so exp never overflows."""
-    e = np.exp(-np.abs(v))
-    d = 1.0 + e
-    return np.where(v >= 0, 1.0 / d, e / d)
+def sigmoid(v, out=None):
+    """Elementwise logistic function of an array, as 0.5 * (1 + tanh(v / 2))
+    computed in place on one output array (out, if given); never overflows."""
+    out = np.multiply(v, 0.5, out=np.empty(np.shape(v)) if out is None else out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def lstm_cell(pre, c_prev):
@@ -74,8 +82,8 @@ def lstm_cell(pre, c_prev):
     """
     d = pre.shape[-1] // 4
     acts = np.empty_like(pre)
-    acts[..., :3 * d] = sigmoid(pre[..., :3 * d])
-    acts[..., 3 * d:] = np.tanh(pre[..., 3 * d:])
+    sigmoid(pre[..., :3 * d], out=acts[..., :3 * d])
+    np.tanh(pre[..., 3 * d:], out=acts[..., 3 * d:])
     gate_in, gate_out, gate_forget, candidate = _gate_blocks(acts, d)
     c = c_prev * gate_forget + candidate * gate_in
     return gate_out * np.tanh(c), c, acts
@@ -93,33 +101,33 @@ def squared_norm(array):
     return float(np.einsum("i,i->", flat, flat))
 
 
-# Blocks of fixed_matmul.  OpenBLAS runs a product of more than 2^18
-# multiply-adds on several threads, and for many shapes the result's bits
-# then depend on the thread count; products of at most 256 inner terms and
-# 64 columns came out identical at 1, 2 and 3 threads in a sweep of the
-# shapes these ops use.
-_THREADED_WORK = 1 << 18
-_INNER_BLOCK = 256
-_COLUMN_BLOCK = 64
+@functools.cache
+def _openblas_threads():
+    """(getter, setter) of the thread count of numpy's bundled OpenBLAS,
+    or None where the library exports no such pair."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
-def fixed_matmul(a, b):
-    """a @ b for matrices, with the same bits at any BLAS thread count.
-
-    A product large enough for BLAS to thread is summed over blocks of at
-    most 256 inner terms and 64 columns in a fixed order.
-    """
-    (m, k), n = a.shape, b.shape[1]
-    if m * n * k <= _THREADED_WORK:
-        return a @ b
-    out = np.empty((m, n))
-    for lo in range(0, n, _COLUMN_BLOCK):
-        cols = slice(lo, lo + _COLUMN_BLOCK)
-        block = a[:, :_INNER_BLOCK] @ b[:_INNER_BLOCK, cols]
-        for i in range(_INNER_BLOCK, k, _INNER_BLOCK):
-            block += a[:, i:i + _INNER_BLOCK] @ b[i:i + _INNER_BLOCK, cols]
-        out[:, cols] = block
-    return out
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread, restoring
+    the caller's count on exit (also on an exception).  A threaded product
+    can round differently, so the body's bits then do not depend on the
+    thread count.  Where the library has no thread control, this does nothing."""
+    get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def row_view(whole, index):
@@ -174,15 +182,6 @@ class Graph:
     def __init__(self, recording=True):
         self._tape = []
         self.recording = recording
-
-    def _forward_matmul(self, a, b):
-        """a @ b for an op's forward pass.
-
-        A recording graph's values feed gradients, so large products go
-        through fixed_matmul; a forward-only graph keeps plain BLAS, whose
-        single call is faster for the small products of decoding.
-        """
-        return fixed_matmul(a, b) if self.recording else a @ b
 
     def _emit(self, out, backward_fn, more_outs=()):
         if self.recording:
@@ -296,10 +295,9 @@ class Graph:
         Only the gate activations and cell states of each step are stored;
         backward() recomputes the rest from them, runs the recurrence back
         by hand, and adds the weight gradient as [x; h_prev]^T @ d_pre and
-        the bias gradient as one column sum.  Large products go through
-        fixed_matmul.  Values round differently from a chain of
-        encoders.lstm_step calls (the projection splits the [x; h_prev] @ w
-        product in two).
+        the bias gradient as one column sum.  Values round differently from
+        a chain of encoders.lstm_step calls (the projection splits the
+        [x; h_prev] @ w product in two).
         """
         xv, hv, cv, wv, bv = x.value, h0.value, c0.value, w.value, b.value
         if xv.ndim != 2:
@@ -315,7 +313,7 @@ class Graph:
                              f"fit input {k} and state {d}")
 
         w_input, w_hidden = wv[:k], wv[k:]
-        projected = self._forward_matmul(xv, w_input) + bv
+        projected = xv @ w_input + bv
         h, c = hv.copy(), cv.copy()
         acts_all = np.empty((n, 4 * d)) if self.recording else None
         c_all = np.empty((n, d)) if self.recording else None
@@ -325,7 +323,7 @@ class Graph:
             rows = np.flatnonzero(lengths > t)
             flat = offsets[rows] + t
             h_new, c_new, acts = lstm_cell(
-                projected[flat] + self._forward_matmul(h[rows], w_hidden), c[rows])
+                projected[flat] + h[rows] @ w_hidden, c[rows])
             h[rows], c[rows] = h_new, c_new
             if self.recording:
                 acts_all[flat], c_all[flat] = acts, c_new
@@ -357,7 +355,7 @@ class Graph:
                 ], axis=-1)
                 d_pre_all[flat] = d_pre
                 dc[rows] = dct * gate_forget
-                dh[rows] = fixed_matmul(d_pre, w_hidden.T)
+                dh[rows] = d_pre @ w_hidden.T
             h0.grad += dh
             c0.grad += dc
             # The hidden state before each input: h0 for a sequence's first
@@ -366,9 +364,9 @@ class Graph:
             np.multiply(acts_all[:-1, d:2 * d], tanh_c_all[:-1], out=h_prev_all[1:])
             h_prev_all[offsets] = hv
             b.grad += d_pre_all.sum(axis=0)
-            w.grad[:k] += fixed_matmul(xv.T, d_pre_all)
-            w.grad[k:] += fixed_matmul(h_prev_all.T, d_pre_all)
-            x.grad += fixed_matmul(d_pre_all, w_input.T)
+            w.grad[:k] += xv.T @ d_pre_all
+            w.grad[k:] += h_prev_all.T @ d_pre_all
+            x.grad += d_pre_all @ w_input.T
 
         outs = (final_h, final_c) if hidden is None else (hidden, final_h, final_c)
         self._emit(outs[0], backward_fn, outs[1:])
@@ -401,8 +399,8 @@ class Graph:
                 raise ShapeError(f"conv_max filter of width {width}: weights {w.shape} and "
                                  f"bias {b.shape} do not fit {k} input columns")
             index, segment, start = _window_rows(lengths, offsets, width, n)
-            features = np.tanh(self._forward_matmul(
-                x_padded[index].reshape(len(index), width * k), w.value) + b.value)
+            features = np.tanh(
+                x_padded[index].reshape(len(index), width * k) @ w.value + b.value)
             # Column-wise argmax of each segment's windows, over a
             # (segments, windows, F) array padded with -inf.
             by_segment = np.full((len(lengths), start.max() + 1, features.shape[1]), -np.inf)
@@ -424,8 +422,8 @@ class Graph:
                 d_features = np.zeros((len(index), winner.shape[1]))
                 np.put_along_axis(d_features, winner, d_pre, axis=0)
                 windows = x_padded[index].reshape(len(index), width * k)
-                w.grad += fixed_matmul(windows.T, d_features)
-                d_windows = fixed_matmul(d_features, w.value.T)
+                w.grad += windows.T @ d_features
+                d_windows = d_features @ w.value.T
                 np.add.at(x_grad, index, d_windows.reshape(len(index), width, k))
                 lo = hi
             x.grad += x_grad[:n]
@@ -475,8 +473,8 @@ class Graph:
                                       f"are not distinct slots of {row_slots}")
         batch = len(steps)
         first_query = np.cumsum(steps) - steps
-        key_proj = self._forward_matmul(kv, wv[:h])[np.where(present, slots, 0)]
-        query_proj = self._forward_matmul(qv, wv[h:])
+        key_proj = (kv @ wv[:h])[np.where(present, slots, 0)]
+        query_proj = qv @ wv[h:]
         hidden = ~present
         total = np.zeros(batch)
         step_rows = []
@@ -508,10 +506,10 @@ class Graph:
                 d_query_proj[query_rows] = d_in.sum(axis=1)
             d_keys = np.zeros(kv.shape)
             np.add.at(d_keys, slots[present], d_key_proj[present])
-            w.grad[:h] += fixed_matmul(kv.T, d_keys)
-            keys.grad += fixed_matmul(d_keys, wv[:h].T)
-            w.grad[h:] += fixed_matmul(qv.T, d_query_proj)
-            queries.grad += fixed_matmul(d_query_proj, wv[h:].T)
+            w.grad[:h] += kv.T @ d_keys
+            keys.grad += d_keys @ wv[:h].T
+            w.grad[h:] += qv.T @ d_query_proj
+            queries.grad += d_query_proj @ wv[h:].T
 
         return self._emit(out, backward_fn)
 

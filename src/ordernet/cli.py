@@ -358,7 +358,6 @@ def build_parser():
     shared.add_argument("--fixed-length", dest="fixed_length", choices=("on", "off"))
     shared.add_argument("--checkpoint")
     shared.add_argument("--out")
-    shared.add_argument("--jobs", type=int, default=1)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -376,11 +375,13 @@ def build_parser():
     p.add_argument("--input", help=argparse.SUPPRESS)
     p.add_argument("--self-test", dest="self_test", action="store_true",
                    help="score gold against itself (sanity check)")
+    p.add_argument("--jobs", type=int, default=1, help="decoding worker processes")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("decode", parents=[shared], help="print predicted orders")
     p.add_argument("--input", help="corpus to decode")
     p.add_argument("--test", help=argparse.SUPPRESS)
+    p.add_argument("--jobs", type=int, default=1, help="decoding worker processes")
     p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("saliency", parents=[shared], help="word attribution report")

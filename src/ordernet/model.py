@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, Param, Tensor, row_view
+from .autodiff import Graph, Param, Tensor, row_view, single_blas_thread
 from .corpus import stable_seed
 from .encoders import (
     LstmCell,
@@ -337,8 +337,8 @@ def saliency(instance, prefix, params, choice=None, allow_stop=False):
     Runs the decoder teacher-forced through `prefix` (distinct positions),
     takes the distribution of the next step, and differentiates the
     probability of `choice` (the greedy argmax when omitted, else a slot
-    not in the prefix) with respect to each word embedding use.  The
-    parameters' gradients are left as they were found.
+    not in the prefix) with respect to each word embedding use, on one
+    BLAS thread.  The parameters' gradients are left as they were found.
     """
     n = len(instance.inputs)
     prefix = list(prefix)
@@ -346,34 +346,35 @@ def saliency(instance, prefix, params, choice=None, allow_stop=False):
     slots = n + 1 if allow_stop else n
     if choice is not None and (choice in prefix or not 0 <= choice < slots):
         raise InvalidOrderError(f"choice {choice} is not a free slot of {slots}")
-    graph = Graph()
-    encoded = encode_document(graph, instance.inputs, params)
-    state = encoded.final_state
-    mask = np.zeros(slots, dtype=bool)
-    previous = START
-    for p in prefix:
+    with single_blas_thread():
+        graph = Graph()
+        encoded = encode_document(graph, instance.inputs, params)
+        state = encoded.final_state
+        mask = np.zeros(slots, dtype=bool)
+        previous = START
+        for p in prefix:
+            state = advance_decoder(graph, state, previous, encoded, params)
+            mask[p] = True
+            previous = p
         state = advance_decoder(graph, state, previous, encoded, params)
-        mask[p] = True
-        previous = p
-    state = advance_decoder(graph, state, previous, encoded, params)
-    probs = decode_step(graph, state[0], encoded, mask, params, allow_stop)
+        probs = decode_step(graph, state[0], encoded, mask, params, allow_stop)
 
-    if choice is None:
-        choice = int(np.argmax(probs.value))
-    prob = graph.pick(probs, choice)
-    # backward() adds into every parameter's gradient; a caller between
-    # training steps must not see saliency's share of it.
-    saved = [(param, param.grad.copy()) for param in params.all_params()]
-    try:
-        graph.backward(prob)
-    finally:
-        for param, grad in saved:
-            param.grad[...] = grad
+        if choice is None:
+            choice = int(np.argmax(probs.value))
+        prob = graph.pick(probs, choice)
+        # backward() adds into every parameter's gradient; a caller between
+        # training steps must not see saliency's share of it.
+        saved = [(param, param.grad.copy()) for param in params.all_params()]
+        try:
+            graph.backward(prob)
+        finally:
+            for param, grad in saved:
+                param.grad[...] = grad
 
-    scores = [
-        [float(np.linalg.norm(w.grad)) for w in sentence]
-        for sentence in encoded.word_vectors
-    ]
+        scores = [
+            [float(np.linalg.norm(w.grad)) for w in sentence]
+            for sentence in encoded.word_vectors
+        ]
     return SaliencyResult(
         step=len(prefix) + 1,
         choice=choice,

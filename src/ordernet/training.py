@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import Graph, squared_norm
+from .autodiff import Graph, single_blas_thread, squared_norm
 from .corpus import Vocab, build_instances, noise_pool_of, stable_seed
 from .encoders import EncoderConfig
 from .errors import CheckpointError, ConfigError, InvalidOrderError, NumericError
@@ -221,7 +221,8 @@ def train_epoch(model, documents, epoch, opt_state, noise_pool=None):
     """One pass over fresh instances of every document; returns mean batch loss.
 
     Instance permutations are keyed by (seed, epoch, document), and the batch
-    order by (seed, epoch), so any epoch can be replayed in isolation.
+    order by (seed, epoch), so any epoch can be replayed in isolation.  Each
+    batch step runs on one BLAS thread (single_blas_thread).
     """
     cfg = model.config
     params = model.params.all_params()
@@ -235,22 +236,15 @@ def train_epoch(model, documents, epoch, opt_state, noise_pool=None):
     batch_losses = []
     for lo in range(0, len(order), cfg.batch_size):
         batch = [instances[i] for i in order[lo:lo + cfg.batch_size]]
-        batch_losses.append(_accumulate_gradients(model.params, batch, cfg.reg_lambda))
-        clip_gradients(params, cfg.clip_norm)
-        adagrad_step(params, opt_state)
+        with single_blas_thread():
+            graph = Graph()
+            loss = batch_loss(graph, batch, model.params, cfg.reg_lambda)
+            graph.backward(loss)
+            del graph  # frees the batch's activations before the optimizer allocates
+            batch_losses.append(float(loss.value))
+            clip_gradients(params, cfg.clip_norm)
+            adagrad_step(params, opt_state)
     return float(np.mean(batch_losses))
-
-
-def _accumulate_gradients(params, batch, reg_lambda):
-    """Add d batch_loss / d params to every gradient; returns the loss.
-
-    The batch's graph lives only inside this call, so its stored
-    activations are freed before the optimizer allocates anything.
-    """
-    graph = Graph()
-    loss = batch_loss(graph, batch, params, reg_lambda)
-    graph.backward(loss)
-    return float(loss.value)
 
 
 # ----- evaluation -----

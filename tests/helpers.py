@@ -68,22 +68,21 @@ def random_sentences(rng, vocab_size, n_sentences, max_words=4):
 # ---------------------------------------------------------------------------
 
 def ref_sigmoid(v):
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    return 0.5 * (1.0 + np.tanh(v / 2.0))
 
 
 def ref_lstm_step(x, h_prev, c_prev, w, b):
     """One LSTM transition with gates packed (input, output, forget, candidate)."""
-    d = h_prev.shape[0]
-    pre = np.concatenate([x, h_prev]) @ w + b
-    gate_in = ref_sigmoid(pre[:d])
-    gate_out = ref_sigmoid(pre[d:2 * d])
-    gate_forget = ref_sigmoid(pre[2 * d:3 * d])
-    candidate = np.tanh(pre[3 * d:])
+    return ref_lstm_update(np.concatenate([x, h_prev]) @ w + b, c_prev)
+
+
+def ref_lstm_update(pre, c_prev):
+    """New (hidden, cell) from packed pre-activations (last axis) and the old cell."""
+    d = pre.shape[-1] // 4
+    gate_in = ref_sigmoid(pre[..., :d])
+    gate_out = ref_sigmoid(pre[..., d:2 * d])
+    gate_forget = ref_sigmoid(pre[..., 2 * d:3 * d])
+    candidate = np.tanh(pre[..., 3 * d:])
     c = c_prev * gate_forget + candidate * gate_in
     return gate_out * np.tanh(c), c
 

@@ -9,7 +9,7 @@ seeds so failures replay exactly.
 import numpy as np
 import pytest
 
-from ordernet.autodiff import Graph, Param, Tensor, grad_check
+from ordernet.autodiff import Graph, Param, Tensor, grad_check, sigmoid
 from ordernet.encoders import LstmCell, lstm_step
 from ordernet.errors import (
     EmptyInputError,
@@ -72,6 +72,21 @@ def test_sigmoid_is_stable_for_large_magnitudes():
     assert out.value[0] == 0.0
     assert out.value[1] == 0.5
     assert out.value[2] == 1.0
+
+
+def test_tanh_sigmoid_stays_within_an_ulp_of_the_sign_split_form():
+    def split_sigmoid(v):
+        e = np.exp(-np.abs(v))
+        return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    rng = np.random.default_rng(22)
+    for scale in (0.1, 1.0, 3.0, 10.0, 30.0):
+        v = rng.normal(scale=scale, size=(64, 600))
+        assert np.abs(sigmoid(v) - split_sigmoid(v)).max() <= 2.3e-16, scale
+    limits = np.array([0.0, -0.0, 1000.0, -1000.0, np.inf, -np.inf, np.nan])
+    assert np.array_equal(sigmoid(limits), split_sigmoid(limits), equal_nan=True)
+    assert np.array_equal(sigmoid(limits), [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, np.nan],
+                          equal_nan=True)
 
 
 def test_masked_softmax_zeroes_hidden_entries_and_sums_to_one():

@@ -231,6 +231,13 @@ def test_bad_choice_values_exit_with_usage_error(toy_corpus_dir):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["train", "saliency", "oracle"])
+def test_jobs_is_a_usage_error_where_nothing_decodes_in_workers(command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--jobs", "2"])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # decode
 # ---------------------------------------------------------------------------

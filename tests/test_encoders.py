@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import composed_cnn_vector, ref_lstm_step, stepwise_lstm_sequence
+from helpers import composed_cnn_vector, ref_lstm_step, ref_lstm_update, stepwise_lstm_sequence
 
 from ordernet.autodiff import Graph, Param, Tensor, grad_check
 from ordernet.encoders import (
@@ -286,11 +286,17 @@ def test_lstm_vector_is_the_final_hidden_state():
     words = [rng.normal(size=2) for _ in range(3)]
     g = Graph(recording=False)
     out = lstm_vector(g, [Tensor(w) for w in words], cell)
-    h = np.zeros(3)
-    c = np.zeros(3)
-    for w in words:
-        h, c = ref_lstm_step(w, h, c, cell.w.value, cell.b.value)
-    assert np.array_equal(out.value, h)
+    # lstm_vector runs Graph.lstm_sequence, which splits [x; h] @ w into one
+    # input projection (bias included) and a recurrent product per step.
+    # The reference splits it the same way: one [x; h] @ w product rounds
+    # differently, and matched this seed's bits only by chance.
+    w, b = cell.w.value, cell.b.value
+    projected = np.array(words) @ w[:2] + b
+    h = np.zeros((1, 3))
+    c = np.zeros((1, 3))
+    for t in range(len(words)):
+        h, c = ref_lstm_update(projected[t:t + 1] + h @ w[2:], c)
+    assert np.array_equal(out.value, h[0])
 
 
 def test_encoders_reject_empty_sentences():

@@ -21,12 +21,14 @@ from helpers import (
 )
 
 from ordernet.autodiff import Graph
+from ordernet.corpus import Document, build_instances, build_vocab, tokenize
 from ordernet.encoders import EncoderConfig
 from ordernet.errors import EmptyInputError, IndexRangeError, InvalidOrderError, NumericError
 from ordernet.model import (
     START,
     PtrNetParams,
     advance_decoder,
+    batch_log_probs,
     batch_loss,
     decode_step,
     encode_document,
@@ -34,6 +36,8 @@ from ordernet.model import (
     sequence_log_prob,
     validate_target,
 )
+from ordernet.synthetic import generate_documents
+from ordernet.training import Model, TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +436,17 @@ def test_saliency_rejects_an_invalid_prefix_or_choice(prefix, choice):
                            target=[0, 1, 2])
     with pytest.raises(InvalidOrderError):
         saliency(inst, prefix, params, choice)
+
+
+@pytest.mark.parametrize("encoder", ["cbow", "cnn", "lstm"])
+def test_recording_and_forward_only_graphs_give_the_same_log_probs(encoder):
+    # Both graph kinds run the same products, so a training batch scores
+    # its documents exactly as a forward-only graph (decoding) does.
+    texts = generate_documents(32, np.random.default_rng(9), sentences_per_doc=5)
+    docs = [Document(f"d{i}", [tokenize(s) for s in text]) for i, text in enumerate(texts)]
+    model = Model.create(TrainConfig(encoder=encoder, seed=4), build_vocab(docs))
+    instances = build_instances(docs, model.vocab, 4, 1)
+    args = ([inst.inputs for inst in instances], [inst.target for inst in instances],
+            model.params)
+    recorded = batch_log_probs(Graph(), *args).value
+    assert np.array_equal(recorded, batch_log_probs(Graph(recording=False), *args).value)

@@ -10,10 +10,10 @@ import pytest
 
 from helpers import overwrite_well_scaled
 
-from ordernet import decoding, training
+from ordernet import autodiff, decoding, training
 from ordernet import model as ptr_model
 from ordernet.autodiff import Graph, Param
-from ordernet.corpus import Document, Vocab, build_instances, build_vocab
+from ordernet.corpus import Document, Vocab, build_instances, build_vocab, tokenize
 from ordernet.errors import (
     CheckpointError,
     ConfigError,
@@ -23,6 +23,7 @@ from ordernet.errors import (
 )
 from ordernet.metrics import aggregate
 from ordernet.model import Order, batch_loss, saliency
+from ordernet.synthetic import generate_documents
 from ordernet.training import (
     AdaGradState,
     EpochRecord,
@@ -244,17 +245,19 @@ def test_train_epoch_reports_the_batch_loss():
 
 
 # Two one-batch epochs of 32 documents at the standard dimensions, for the
-# lstm and the cnn encoder.  Batched products that big are threaded by
-# OpenBLAS, and for many shapes a threaded product rounds differently.
+# lstm and the cnn encoder, then the saliency of one step of a document.
+# Batched products that big are threaded by OpenBLAS, and for many shapes a
+# threaded product rounds differently.
 _STANDARD_THREAD_RUN = """
 import sys
 import numpy as np
-from ordernet.corpus import Document, build_vocab, tokenize
+from ordernet.corpus import Document, build_instances, build_vocab, tokenize
+from ordernet.model import saliency
 from ordernet.synthetic import generate_documents
 from ordernet.training import AdaGradState, Model, TrainConfig, checkpoint_save, train_epoch
 texts = generate_documents(32, np.random.default_rng(5), sentences_per_doc=5)
 docs = [Document(f"d{i}", [tokenize(s) for s in text]) for i, text in enumerate(texts)]
-losses = []
+losses, saliencies = [], []
 for encoder in ("lstm", "cnn"):
     config = TrainConfig(encoder=encoder, batch_size=32, adagrad_epsilon=0.3, seed=3)
     model = Model.create(config, build_vocab(docs))
@@ -262,7 +265,11 @@ for encoder in ("lstm", "cnn"):
                          config.adagrad_epsilon)
     losses += [train_epoch(model, docs, epoch, state) for epoch in (1, 2)]
     checkpoint_save(f"{sys.argv[1]}.{encoder}.npz", model, state)
+    step = saliency(build_instances(docs[:1], model.vocab, 3, 0)[0], [1], model.params)
+    saliencies.append([step.probability] + [s for row in step.scores for s in row])
 print(" ".join(float(v).hex() for v in losses))
+for values in saliencies:
+    print(" ".join(float(v).hex() for v in values))
 """
 
 
@@ -277,18 +284,84 @@ def test_batched_training_at_standard_dimensions_is_bit_identical_at_1_2_and_3_b
         stem = tmp_path / f"threads{threads}"
         run = subprocess.run([sys.executable, "-c", _STANDARD_THREAD_RUN, str(stem)], env=env,
                              check=True, timeout=300, capture_output=True, text=True)
-        printed[threads] = run.stdout.split()
+        printed[threads] = run.stdout.splitlines()
         saved[threads] = {}
         for encoder in ("lstm", "cnn"):
             with np.load(f"{stem}.{encoder}.npz") as data:
                 saved[threads].update({f"{encoder}:{name}": data[name] for name in data.files
                                        if name.startswith(("param/", "opt/"))})
-    assert len(printed["1"]) == 4
+    losses, *saliencies = printed["1"]
+    assert len(losses.split()) == 4 and len(saliencies) == 2
     for threads in ("2", "3"):
         assert printed[threads] == printed["1"], threads
         assert saved[threads].keys() == saved["1"].keys()
         for name, value in saved["1"].items():
             assert np.array_equal(value, saved[threads][name]), (threads, name)
+
+
+# Reads the OpenBLAS thread count before, inside single_blas_thread, after a
+# training epoch and after an epoch that stops with NumericError.
+_RESTORE_RUN = """
+import numpy as np
+from ordernet import autodiff
+from ordernet.corpus import Document, build_vocab
+from ordernet.errors import NumericError
+from ordernet.training import AdaGradState, Model, TrainConfig, train_epoch
+get_threads = autodiff._openblas_threads()[0]
+docs = [Document(f"d{i}", [[f"cue{j}", f"w{(i * 7 + j) % 11}"] for j in range(4)])
+        for i in range(8)]
+config = TrainConfig(encoder="lstm", hidden_dim=8, embed_dim=6, recurrent_dim=8,
+                     batch_size=4, seed=3)
+model = Model.create(config, build_vocab(docs))
+state = AdaGradState(model.params.all_params(), config.learning_rate, config.adagrad_epsilon)
+counts = [get_threads()]
+with autodiff.single_blas_thread():
+    counts.append(get_threads())
+train_epoch(model, docs, 1, state)
+counts.append(get_threads())
+model.params.embeddings.value[model.vocab.id_of("cue1")] = np.nan
+try:
+    train_epoch(model, docs, 2, state)
+except NumericError:
+    counts.append(get_threads())
+print(*counts)
+"""
+
+
+def test_training_restores_the_callers_blas_thread_count():
+    if autodiff._openblas_threads() is None:
+        pytest.skip("numpy's BLAS exports no thread-count control")
+    src = str(Path(training.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "2"
+    run = subprocess.run([sys.executable, "-c", _RESTORE_RUN], env=env,
+                         check=True, timeout=300, capture_output=True, text=True)
+    assert run.stdout.split() == ["2", "1", "2", "2"]
+
+
+def test_training_without_blas_thread_control_matches_the_pinned_epoch(monkeypatch):
+    control = autodiff._openblas_threads()
+    if control is not None:
+        assert control[0]() == 1  # the test process runs BLAS on one thread
+    texts = generate_documents(32, np.random.default_rng(5), sentences_per_doc=5)
+    docs = [Document(f"d{i}", [tokenize(s) for s in text]) for i, text in enumerate(texts)]
+    config = TrainConfig(encoder="lstm", batch_size=32, adagrad_epsilon=0.3, seed=3)
+
+    def one_epoch():
+        model = Model.create(config, build_vocab(docs))
+        state = AdaGradState(model.params.all_params(), config.learning_rate,
+                             config.adagrad_epsilon)
+        train_epoch(model, docs, 1, state)
+        return params_of(model)
+
+    pinned = one_epoch()
+    lookups = []
+    monkeypatch.setattr(autodiff, "_openblas_threads", lambda: lookups.append(1))
+    unpinned = one_epoch()
+    assert lookups == [1]  # one batch, one lookup that found nothing
+    for name, value in pinned.items():
+        assert np.array_equal(value, unpinned[name]), name
 
 
 def test_train_returns_history_and_honors_stop_when():
