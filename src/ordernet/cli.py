@@ -21,7 +21,6 @@ from .corpus import (
     build_vocab,
     ingest_corpus,
     load_pretrained_embeddings,
-    noise_pool_of,
     stable_seed,
 )
 from .decoding import beam_decode, oracle_in_beam
@@ -112,14 +111,18 @@ def _load_split(path, label):
     return corpus
 
 
-def _eval_instances(model, documents, seed, noise_mode=None, fixed_length=None):
+def _eval_instances(model, documents, args):
+    """Epoch-0 instances under the checkpoint's settings, which --seed and,
+    where a command takes them, --noise and --fixed-length override."""
     cfg = model.config
-    noise_mode = cfg.noise_mode if noise_mode is None else noise_mode
-    fixed_length = cfg.fixed_length if fixed_length is None else fixed_length
-    pool = noise_pool_of(documents) if noise_mode != "none" else None
+    seed = cfg.seed if args.seed is None else args.seed
+    noise_mode, fixed_length = cfg.noise_mode, cfg.fixed_length
+    if getattr(args, "noise", None) is not None:
+        noise_mode = parse_config_value("noise_mode", args.noise)
+    if getattr(args, "fixed_length", None) is not None:
+        fixed_length = parse_config_value("fixed_length", args.fixed_length)
     return build_instances(documents, model.vocab, seed, 0,
-                           noise_mode=noise_mode, fixed_length=fixed_length,
-                           noise_pool=pool)
+                           noise_mode=noise_mode, fixed_length=fixed_length)
 
 
 # ----- commands -----
@@ -177,11 +180,7 @@ def cmd_eval(args):
     model, _, _ = _load_checkpoint_for(args)
     cfg = model.config
     corpus = _load_split(args.test or args.input, "test")
-    seed = args.seed if args.seed is not None else cfg.seed
-    noise_mode = parse_config_value("noise_mode", args.noise) if args.noise else None
-    fixed_length = (parse_config_value("fixed_length", args.fixed_length)
-                    if args.fixed_length else None)
-    instances = _eval_instances(model, corpus.documents, seed, noise_mode, fixed_length)
+    instances = _eval_instances(model, corpus.documents, args)
 
     if args.self_test:
         report = aggregate([(inst.gold_positions, inst.gold_positions)
@@ -206,8 +205,7 @@ def cmd_decode(args):
     model, _, _ = _load_checkpoint_for(args)
     cfg = model.config
     corpus = _load_split(args.input or args.test, "input")
-    seed = args.seed if args.seed is not None else cfg.seed
-    instances = _eval_instances(model, corpus.documents, seed)
+    instances = _eval_instances(model, corpus.documents, args)
     strategy = "beam" if args.beam is not None else "greedy"
     orders = decode_instances(model, instances, strategy, args.beam, jobs=args.jobs)
 
@@ -258,8 +256,7 @@ def cmd_saliency(args):
     model, _, _ = _load_checkpoint_for(args)
     cfg = model.config
     corpus = _load_split(args.input or args.test, "input")
-    seed = args.seed if args.seed is not None else cfg.seed
-    instances = _eval_instances(model, corpus.documents, seed)
+    instances = _eval_instances(model, corpus.documents, args)
     if not 0 <= args.doc < len(instances):
         raise ConfigError(f"--doc {args.doc} outside 0..{len(instances) - 1}")
     inst = instances[args.doc]
@@ -301,8 +298,7 @@ def cmd_oracle(args):
     model, _, _ = _load_checkpoint_for(args)
     cfg = model.config
     corpus = _load_split(args.test or args.input, "test")
-    seed = args.seed if args.seed is not None else cfg.seed
-    instances = _eval_instances(model, corpus.documents, seed)
+    instances = _eval_instances(model, corpus.documents, args)
 
     lines = [_config_echo(cfg),
              "# b\tpm_f\tlsr_f\tpmr\toracle_pm_f\toracle_lsr_f\toracle_pmr"]
@@ -349,19 +345,25 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="ordernet",
         description="Sentence ordering with a pointer network")
+    # Every subcommand takes only the flags it reads, spelled out in full.
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="flat key = value config file")
     shared.add_argument("--seed", type=int)
     shared.add_argument("--encoder", choices=("cbow", "cnn", "lstm"))
-    shared.add_argument("--beam", type=int, metavar="N")
-    shared.add_argument("--noise", choices=("none", "one", "half"))
-    shared.add_argument("--fixed-length", dest="fixed_length", choices=("on", "off"))
     shared.add_argument("--checkpoint")
     shared.add_argument("--out")
+    beam = argparse.ArgumentParser(add_help=False)
+    beam.add_argument("--beam", type=int, metavar="N")
+    view = argparse.ArgumentParser(add_help=False)
+    view.add_argument("--noise", choices=("none", "one", "half"))
+    view.add_argument("--fixed-length", dest="fixed_length", choices=("on", "off"))
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[shared], help="train a model")
+    def add_command(name, *flags, help):
+        return sub.add_parser(name, parents=[shared, *flags], allow_abbrev=False, help=help)
+
+    p = add_command("train", beam, view, help="train a model")
+    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--train", help="training corpus")
     p.add_argument("--dev", help="development corpus")
     p.add_argument("--embeddings", help="pretrained embedding text file")
@@ -370,7 +372,7 @@ def build_parser():
     p.add_argument("--log", help="also write the epoch log to this file")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", parents=[shared], help="evaluate a checkpoint")
+    p = add_command("eval", beam, view, help="evaluate a checkpoint")
     p.add_argument("--test", help="evaluation corpus")
     p.add_argument("--input", help=argparse.SUPPRESS)
     p.add_argument("--self-test", dest="self_test", action="store_true",
@@ -378,19 +380,19 @@ def build_parser():
     p.add_argument("--jobs", type=int, default=1, help="decoding worker processes")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("decode", parents=[shared], help="print predicted orders")
+    p = add_command("decode", beam, help="print predicted orders")
     p.add_argument("--input", help="corpus to decode")
     p.add_argument("--test", help=argparse.SUPPRESS)
     p.add_argument("--jobs", type=int, default=1, help="decoding worker processes")
     p.set_defaults(fn=cmd_decode)
 
-    p = sub.add_parser("saliency", parents=[shared], help="word attribution report")
+    p = add_command("saliency", help="word attribution report")
     p.add_argument("--input", help="corpus to draw the document from")
     p.add_argument("--test", help=argparse.SUPPRESS)
     p.add_argument("--doc", type=int, default=0, help="document index")
     p.set_defaults(fn=cmd_saliency)
 
-    p = sub.add_parser("oracle", parents=[shared], help="beam-size sweep with oracles")
+    p = add_command("oracle", help="beam-size sweep with oracles")
     p.add_argument("--test", help="evaluation corpus")
     p.add_argument("--input", help=argparse.SUPPRESS)
     p.add_argument("--beams", default="1,2,4,8,16,32,64",

@@ -3,15 +3,18 @@
 All searches share the same tie discipline: candidates sort by cumulative
 log-probability, then lexicographically by their position sequence (with the
 stop slot numbered n, so stopping loses ties to any position).  Scores are
-raw sums of step log-probabilities; nothing is length-normalized.
+raw float64 sums of step log-probabilities, nothing length-normalized, and
+ties are taken on the rounded sum: children whose step log-probs differ by
+less than one ulp of their parent's score tie, and the lower slot wins.
 
-Greedy and beam search step a BatchDecoder, a forward-only copy of the
-decoder on plain arrays.  BatchDecoder.for_documents builds the decoders
-of many documents from one non-recording encode_batch call: the attention
-keys of every document (and the stop key) are projected by one GEMM, and
-so is every decoder input.  Each input is START or one of a document's
-sentence vectors, so the input half of the decoder LSTM product is
-computed once (input_pre = [start; sentences] @ W_x + b) and each step
+Greedy search is beam search of width 1; beam_decode holds the one stepping
+loop.  It steps a BatchDecoder, a forward-only copy of the decoder on plain
+arrays.  BatchDecoder.for_documents, the one constructor, builds the
+decoders of many documents from one non-recording encode_batch call: the
+attention keys of every document (and the stop key) are projected by one
+GEMM, and so is every decoder input.  Each input is START or one of a
+document's sentence vectors, so the input half of the decoder LSTM product
+is computed once (input_pre = [start; sentences] @ W_x + b) and each step
 only adds hidden @ W_h to the rows it gathers.  Exhaustive search and
 rescoring teacher-force the differentiable Graph path of ordernet.model.
 No search runs the per-step Graph functions, which compose primitives and
@@ -49,10 +52,6 @@ class BatchDecoder:
     step and the pointing distribution of model.advance_decoder and
     model.decode_step to every row at once, with no gradient buffers.
     """
-
-    def __init__(self, sentences, params, variable_length=False):
-        (decoder,) = self.for_documents([sentences], params, [variable_length])
-        vars(self).update(vars(decoder))
 
     @classmethod
     def for_documents(cls, documents, params, variable_flags):
@@ -115,7 +114,7 @@ class BatchDecoder:
 def _decoder_of(sentences, params, variable_length, decoder):
     """The given decoder after checking that it fits, else a new one."""
     if decoder is None:
-        return BatchDecoder(sentences, params, variable_length)
+        return BatchDecoder.for_documents([sentences], params, [variable_length])[0]
     if (decoder.n, decoder.slots) != (len(sentences), len(sentences) + bool(variable_length)):
         raise ShapeError(f"decoder of {decoder.n} inputs and {decoder.slots} slots does not fit "
                          f"{len(sentences)} sentences (variable length {variable_length})")
@@ -123,92 +122,72 @@ def _decoder_of(sentences, params, variable_length, decoder):
 
 
 def greedy_decode(sentences, params, variable_length=False, decoder=None):
-    """Follow the argmax at every step; ties go to the lowest slot index.
+    """Beam search of width 1: the best order of beam_decode(..., 1, ...).
 
-    decoder, when given, is the document's BatchDecoder, built beforehand
-    (by BatchDecoder.for_documents, say) from the same sentences and params.
+    Each step keeps the child of highest cumulative score; ties, taken on
+    the rounded sum, go to the lower slot (stop last).  decoder is as for
+    beam_decode.
     """
-    n = len(sentences)
-    decoder = _decoder_of(sentences, params, variable_length, decoder)
-    hidden, cell = decoder.initial
-    mask = np.zeros((1, decoder.slots), dtype=bool)
-
-    positions = []
-    log_prob = 0.0
-    previous = START
-    stopped = False
-    while len(positions) < n:
-        hidden, cell = decoder.advance(hidden, cell, [previous])
-        step = decoder.log_probs(hidden, mask)[0]
-        choice = int(np.argmax(step))
-        log_prob += float(step[choice])
-        if choice == n:
-            stopped = True
-            break
-        positions.append(choice)
-        mask[0, choice] = True
-        previous = choice
-    if variable_length and not stopped:
-        # Every position is taken, so the stop slot is the only candidate
-        # left and carries probability exactly 1.
-        stopped = True
-    return Order(tuple(positions), stopped, log_prob)
+    return beam_decode(sentences, params, 1, variable_length, decoder)[0]
 
 
 def beam_decode(sentences, params, beam_size, variable_length=False, decoder=None):
     """Beam search; returns (best order, the whole finished beam).
 
-    Finished candidates stay in the beam at their final score and compete
-    with live ones for the beam_size slots.  The search runs until every
-    survivor is finished, which takes at most n+1 levels.  Each level scores
-    every live candidate in one log_probs call and advances the surviving
-    children in one advance call.  decoder is as for greedy_decode.
+    Candidates sort by (-cumulative score, key), the key being the positions
+    with the stop slot n appended once stopped.  Finished candidates stay in
+    the beam at their final score and compete with live ones for the
+    beam_size slots.  Each level scores every live candidate in one
+    log_probs call and advances the surviving children in one advance call.
+    A candidate left with one visible slot takes it at its unchanged score,
+    unscored (that step's log-softmax is exactly 0.0), so a fixed-length
+    search makes n - 1 levels.  decoder, when given, is the document's
+    BatchDecoder, built beforehand (by BatchDecoder.for_documents, say) from
+    the same sentences and params.
     """
     if beam_size < 1:
         raise IndexRangeError(f"beam size must be positive, got {beam_size}")
     n = len(sentences)
     decoder = _decoder_of(sentences, params, variable_length, decoder)
-    # Candidates are (log_prob, key, positions, parent row), the key being
-    # the positions with the stop slot n appended once finished and the
-    # parent row None once finished.  Row r of hidden, cell and mask holds
-    # the decoder state of live[r], which is (positions, log_prob).
-    hidden, cell = decoder.advance(*decoder.initial, [START])
-    mask = np.zeros((1, decoder.slots), dtype=bool)
-    live = [((), 0.0)]
-    finished = []
+    slots = decoder.slots
+    every_slot = slots * (slots - 1) // 2  # the sum of all slot numbers
 
-    while live:
-        rows, slots = np.nonzero(~mask)
+    def candidate(score, positions, row):
+        """(score, key, positions, parent row), the parent row None once finished."""
+        if len(positions) < slots - 1:
+            return score, positions, positions, row
+        last = every_slot - sum(positions)  # the one slot not yet taken
+        key = positions + (last,)
+        return score, key, positions if last == n else key, None
+
+    # Row r of hidden, cell and mask holds the decoder state of the live
+    # candidate whose parent row is r, before its last position is read.
+    hidden, cell = decoder.initial
+    mask = np.zeros((1, slots), dtype=bool)
+    beam = [candidate(0.0, (), 0)]
+    while live := [e for e in beam if e[3] is not None]:
+        parents = [row for _, _, _, row in live]
+        mask = mask[parents]
+        if live[0][2]:  # every live candidate holds the same number of positions
+            chosen = [positions[-1] for _, _, positions, _ in live]
+            mask[np.arange(len(live)), chosen] = True
+        else:
+            chosen = [START]
+        hidden, cell = decoder.advance(hidden[parents], cell[parents], chosen)
+        rows, free = np.nonzero(~mask)
         step = decoder.log_probs(hidden, mask)
-        scores = np.array([lp for _, lp in live])[rows] + step[rows, slots]
-        expansions = list(finished)
-        for row, slot, score in zip(rows.tolist(), slots.tolist(), scores.tolist()):
-            positions = live[row][0]
+        scores = np.array([score for score, _, _, _ in live])[rows] + step[rows, free]
+        expansions = [e for e in beam if e[3] is None]
+        for row, slot, score in zip(rows.tolist(), free.tolist(), scores.tolist()):
+            positions = live[row][2]
             if slot == n:
                 expansions.append((score, positions + (n,), positions, None))
-                continue
-            positions = positions + (slot,)
-            if len(positions) == n:
-                # The only continuation is stop (probability exactly 1 in
-                # variable-length mode, no further step otherwise).
-                key = positions + (n,) if variable_length else positions
-                expansions.append((score, key, positions, None))
             else:
-                expansions.append((score, positions, positions, row))
+                expansions.append(candidate(score, positions + (slot,), row))
         expansions.sort(key=lambda e: (-e[0], e[1]))
         beam = expansions[:beam_size]
-        finished = [e for e in beam if e[3] is None]
-        children = [e for e in beam if e[3] is not None]
-        live = [(positions, score) for score, _, positions, _ in children]
-        if children:
-            parents = [row for _, _, _, row in children]
-            chosen = [positions[-1] for _, _, positions, _ in children]
-            hidden, cell = decoder.advance(hidden[parents], cell[parents], chosen)
-            mask = mask[parents]
-            mask[np.arange(len(children)), chosen] = True
 
-    stopped = variable_length
-    orders = [Order(positions, stopped, score) for score, _, positions, _ in beam]
+    orders = [Order(positions, variable_length, score) for score, _, positions, _ in beam]
     return orders[0], orders
 
 

@@ -266,16 +266,11 @@ def _decode_chunk(model, chunk, strategy, beam_size):
     """Decode a chunk of instances from one encoding of all their documents."""
     decoders = BatchDecoder.for_documents(
         [inst.inputs for inst in chunk], model.params, [inst.has_stop for inst in chunk])
-    orders = []
-    for inst, decoder in zip(chunk, decoders):
-        if strategy == "greedy":
-            orders.append(greedy_decode(inst.inputs, model.params, inst.has_stop,
-                                        decoder=decoder))
-        else:
-            best, _ = beam_decode(inst.inputs, model.params, beam_size, inst.has_stop,
-                                  decoder=decoder)
-            orders.append(best)
-    return orders
+    if strategy == "greedy":
+        return [greedy_decode(inst.inputs, model.params, inst.has_stop, decoder=decoder)
+                for inst, decoder in zip(chunk, decoders)]
+    return [beam_decode(inst.inputs, model.params, beam_size, inst.has_stop, decoder=decoder)[0]
+            for inst, decoder in zip(chunk, decoders)]
 
 
 def decode_instances(model, instances, strategy="greedy", beam_size=None, jobs=1):
@@ -414,15 +409,14 @@ def train(model, train_docs, dev_docs, opt_state=None, start_epoch=1,
     noise_pool = noise_pool_of(train_docs) if cfg.noise_mode != "none" else None
     end_epoch = (epochs if epochs is not None else cfg.epochs)
 
+    dev_instances = build_instances(dev_docs, model.vocab, cfg.seed, 0,
+                                    noise_mode=cfg.noise_mode, fixed_length=cfg.fixed_length)
+
     history = []
     best_f = -1.0
     for epoch in range(start_epoch, end_epoch + 1):
         started = time.monotonic()
         loss = train_epoch(model, train_docs, epoch, opt_state, noise_pool)
-        dev_instances = build_instances(
-            dev_docs, model.vocab, cfg.seed, 0,
-            noise_mode=cfg.noise_mode, fixed_length=cfg.fixed_length,
-            noise_pool=noise_pool_of(dev_docs) if cfg.noise_mode != "none" else None)
         report = evaluate(model, dev_instances)
         record = EpochRecord(epoch, loss, report.pm.f, report.lsr.f, report.pmr,
                              time.monotonic() - started)

@@ -238,6 +238,26 @@ def test_jobs_is_a_usage_error_where_nothing_decodes_in_workers(command):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--config", "run.cfg"),
+    ("decode", "--config", "run.cfg"),
+    ("decode", "--noise", "one"),
+    ("decode", "--fixed-length", "on"),
+    ("saliency", "--config", "run.cfg"),
+    ("saliency", "--beam", "4"),
+    ("saliency", "--noise", "one"),
+    ("saliency", "--fixed-length", "on"),
+    ("oracle", "--config", "run.cfg"),
+    ("oracle", "--beam", "4"),  # not an abbreviation of --beams
+    ("oracle", "--noise", "one"),
+    ("oracle", "--fixed-length", "on"),
+])
+def test_flags_a_subcommand_never_reads_are_usage_errors(command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, value])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # decode
 # ---------------------------------------------------------------------------

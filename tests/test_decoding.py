@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import overwrite_well_scaled, random_sentences, ref_beam_decode, tiny_params
+from helpers import (
+    overwrite_well_scaled,
+    random_sentences,
+    ref_beam_decode,
+    ref_context,
+    ref_log_prob,
+    ref_lstm_step,
+    ref_step_probs,
+    tiny_params,
+)
 
 from ordernet import decoding, model
 from ordernet.autodiff import Graph, Tensor
@@ -37,7 +46,7 @@ def test_batch_decoder_rows_equal_graph_steps():
         params = tiny_params(kind, seed=3000 + trial)
         n = int(rng.integers(1, 6))
         sentences = random_sentences(rng, 12, n)
-        decoder = BatchDecoder(sentences, params, variable)
+        (decoder,) = BatchDecoder.for_documents([sentences], params, [variable])
         graph = Graph(recording=False)
         encoded = model.encode_document(graph, sentences, params)
         b, hd = int(rng.integers(1, 9)), params.hidden_dim
@@ -75,7 +84,7 @@ def test_a_masked_dominant_slot_leaves_the_visible_distribution_intact():
     params.attn_v.value[...] = 1000.0
     params.stop_key.value[...] = 100.0
     sentences = random_sentences(np.random.default_rng(16), 12, 4)
-    decoder = BatchDecoder(sentences, params, variable_length=True)
+    (decoder,) = BatchDecoder.for_documents([sentences], params, [True])
     mask = np.array([[False, True, False, False, True],
                      [False, False, False, False, False]])
     step = decoder.log_probs(np.zeros((2, h)), mask)
@@ -87,7 +96,7 @@ def test_a_masked_dominant_slot_leaves_the_visible_distribution_intact():
 def test_batch_decoder_rejects_positions_outside_the_document():
     params = tiny_params("cbow", seed=5)
     sentences = random_sentences(np.random.default_rng(14), 12, 3)
-    decoder = BatchDecoder(sentences, params)
+    (decoder,) = BatchDecoder.for_documents([sentences], params, [False])
     with pytest.raises(IndexRangeError):
         decoder.advance(*decoder.initial, [3])
     with pytest.raises(IndexRangeError):
@@ -120,7 +129,7 @@ def test_batch_decoder_advance_equals_graph_step_at_standard_dimensions():
     for kind in ("cnn", "cbow", "lstm"):
         params = standard_params(kind, seed=17)
         sentences = random_sentences(rng, 40, 6, max_words=8)
-        decoder = BatchDecoder(sentences, params)
+        (decoder,) = BatchDecoder.for_documents([sentences], params, [False])
         encoded = model.encode_document(Graph(recording=False), sentences, params)
         chosen = np.arange(model.START, len(sentences))
         hidden = rng.normal(size=(len(chosen), 200))
@@ -194,19 +203,75 @@ def test_wide_beam_matches_per_candidate_reference_at_standard_dimensions():
 # ---------------------------------------------------------------------------
 
 
-def test_beam_of_one_equals_greedy_everywhere():
+def test_greedy_follows_the_flat_reference_argmax_everywhere():
+    # Greedy is beam_decode of width 1, so it is checked against the flat
+    # numpy reference instead: every chosen slot is that step's argmax, or
+    # ties it within 1e-12 from a lower slot, and the search stops exactly
+    # where the argmax is the stop slot.  The forced last step, which greedy
+    # does not score, must be the reference's argmax too.
     rng = np.random.default_rng(0)
+    early_stops = 0
     for trial in range(200):
         kind = ("cbow", "cnn", "lstm")[trial % 3]
         variable = bool(trial % 2)
         params = tiny_params(kind, seed=trial)
-        sentences = random_sentences(rng, 12, int(rng.integers(2, 6)))
+        n = int(rng.integers(2, 6))
+        sentences = random_sentences(rng, 12, n)
         greedy = greedy_decode(sentences, params, variable)
-        best, beam = beam_decode(sentences, params, 1, variable)
-        assert len(beam) == 1
-        assert best.positions == greedy.positions
-        assert best.stopped == greedy.stopped
-        assert abs(best.log_prob - greedy.log_prob) <= 1e-12
+        assert greedy.stopped == variable
+        target = list(greedy.positions) + ([n] if variable else [])
+        assert len(set(target)) == len(target) and len(greedy.positions) <= n
+        if not variable:
+            assert len(target) == n
+
+        sent_vecs, hiddens, state = ref_context(params, sentences)
+        w, b = params.decoder_cell.w.value, params.decoder_cell.b.value
+        mask = np.zeros(n + variable, dtype=bool)
+        x = params.start_input.value
+        for choice in target:
+            state = ref_lstm_step(x, state[0], state[1], w, b)
+            with np.errstate(divide="ignore"):
+                step = np.log(ref_step_probs(params, hiddens, state[0], mask, variable))
+            best = int(np.argmax(np.where(mask, -np.inf, step)))
+            assert choice == best or (choice < best and step[best] - step[choice] <= 1e-12)
+            if choice == n:
+                break
+            mask[choice] = True
+            x = sent_vecs[choice]
+        early_stops += variable and len(greedy.positions) < n
+        assert abs(greedy.log_prob - ref_log_prob(params, sentences, target)) <= 1e-10
+    assert early_stops, "no variable-length search chose the stop slot before the end"
+
+
+def test_forced_continuations_are_not_scored(monkeypatch):
+    # A fixed-length search takes its last position unscored, so it makes
+    # n - 1 levels of one advance and one log_probs call each; a
+    # variable-length search scores up to its stop, or its first n steps
+    # when it takes every position.
+    calls = {"advance": 0, "log_probs": 0}
+    for name in calls:
+        def wrapper(self, *args, _method=getattr(BatchDecoder, name), _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(BatchDecoder, name, wrapper)
+
+    def counted(search, *args):
+        calls.update(advance=0, log_probs=0)
+        result = search(*args)
+        assert calls["advance"] == calls["log_probs"]
+        return result, calls["log_probs"]
+
+    rng = np.random.default_rng(24)
+    for trial in range(24):
+        params = tiny_params(("cbow", "cnn", "lstm")[trial % 3], seed=5000 + trial)
+        n = int(rng.integers(1, 7))
+        sentences = random_sentences(rng, 12, n)
+        assert counted(greedy_decode, sentences, params, False)[1] == n - 1
+        assert counted(beam_decode, sentences, params, 4, False)[1] == n - 1
+        order, levels = counted(greedy_decode, sentences, params, True)
+        assert levels == min(len(order.positions) + 1, n)
+        assert counted(beam_decode, sentences, params, 4, True)[1] <= n
 
 
 def test_wide_beam_equals_exhaustive_search():

@@ -12,8 +12,9 @@ import numpy as np
 
 from helpers import random_sentences, tiny_params
 
-from ordernet import model
+from ordernet import model, training
 from ordernet.autodiff import Graph, Tensor
+from ordernet.corpus import Document, build_instances, build_vocab
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -49,3 +50,24 @@ def test_the_benchmark_tracer_installs_counts_and_removes_cleanly():
     # One lookup gathers the embedding of every word of the document.
     assert tracer.calls["autodiff.lookup"] == 1
     assert tracer.tensors > 0
+
+
+def test_traced_greedy_evaluation_counts_no_beam_search():
+    # greedy_decode runs beam_decode of width 1 through decoding's own
+    # global, which the tracer does not wrap, so a greedy evaluation shows
+    # as greedy calls only.
+    tracing = _load_tracing()
+    docs = [Document(f"doc{d}", [[f"cue{i}", "word"] for i in range(3 + d)]) for d in range(3)]
+    config = training.TrainConfig(hidden_dim=8, embed_dim=6, recurrent_dim=8, encoder="cbow")
+    untrained = training.Model.create(config, build_vocab(docs))
+    instances = build_instances(docs, untrained.vocab, config.seed, 0)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        training.evaluate(untrained, instances, "greedy")
+    finally:
+        tracer.remove()
+
+    assert tracer.calls["decoding.greedy_decode"] == 3
+    assert tracer.calls["decoding.beam_decode"] == 0
