@@ -76,17 +76,24 @@ def lstm_cell(pre, c_prev):
     """Gate nonlinearities and state update of an LSTM, on plain arrays.
 
     pre holds the pre-activations packed (input, output, forget, candidate)
-    along its last axis; a leading batch axis is allowed.  Returns the new
-    hidden state, the new cell state and the gate activations packed like
-    pre (sigmoids of the first three blocks, tanh of the candidate).
+    along its last axis; a leading batch axis is allowed.  The activations
+    are written over pre (sigmoids of the first three blocks, tanh of the
+    candidate), so the caller hands over an array it owns.  Returns the new
+    hidden state tanh(c) * output, the new cell state c = c_prev * forget +
+    candidate * input, and pre, now holding the activations.  c and h are
+    built by in-place ops in the order of those expressions, so they round
+    as the expressions do.
     """
     d = pre.shape[-1] // 4
-    acts = np.empty_like(pre)
-    sigmoid(pre[..., :3 * d], out=acts[..., :3 * d])
-    np.tanh(pre[..., 3 * d:], out=acts[..., 3 * d:])
-    gate_in, gate_out, gate_forget, candidate = _gate_blocks(acts, d)
-    c = c_prev * gate_forget + candidate * gate_in
-    return gate_out * np.tanh(c), c, acts
+    sigmoid(pre[..., :3 * d], out=pre[..., :3 * d])
+    np.tanh(pre[..., 3 * d:], out=pre[..., 3 * d:])
+    gate_in, gate_out, gate_forget, candidate = _gate_blocks(pre, d)
+    h = np.multiply(candidate, gate_in)
+    c = np.multiply(c_prev, gate_forget)
+    c += h
+    np.tanh(c, out=h)
+    h *= gate_out
+    return h, c, pre
 
 
 def _gate_blocks(acts, d):

@@ -23,7 +23,7 @@ from .corpus import (
     load_pretrained_embeddings,
     stable_seed,
 )
-from .decoding import beam_decode, oracle_in_beam
+from .decoding import ORACLE_METRICS, beam_decode, oracle_in_beam
 from .errors import ConfigError, OrdernetError
 from .metrics import aggregate
 from .model import saliency
@@ -31,8 +31,10 @@ from .training import (
     Model,
     TrainConfig,
     checkpoint_load,
+    chunk_decoders,
     decode_instances,
     evaluate,
+    instance_chunks,
     parse_config_value,
     train,
 )
@@ -300,17 +302,22 @@ def cmd_oracle(args):
     corpus = _load_split(args.test or args.input, "test")
     instances = _eval_instances(model, corpus.documents, args)
 
+    # Each chunk is encoded once, and its decoders serve every beam width.
+    sweeps = [(int(b), [], dict.fromkeys(ORACLE_METRICS, 0.0)) for b in beams]
+    for chunk in instance_chunks(model, instances):
+        decoders = chunk_decoders(model, chunk)
+        for b, decoded_pairs, oracle_sums in sweeps:
+            for inst, decoder in zip(chunk, decoders):
+                best, beam = beam_decode(inst.inputs, model.params, b, inst.has_stop,
+                                         decoder=decoder)
+                decoded_pairs.append((list(best.positions), inst.gold_positions))
+                for metric in oracle_sums:
+                    _, score = oracle_in_beam(beam, inst.gold_positions, metric)
+                    oracle_sums[metric] += score
+
     lines = [_config_echo(cfg),
              "# b\tpm_f\tlsr_f\tpmr\toracle_pm_f\toracle_lsr_f\toracle_pmr"]
-    for b in map(int, beams):
-        decoded_pairs = []
-        oracle_sums = {"pm_f": 0.0, "lsr_f": 0.0, "pmr": 0.0}
-        for inst in instances:
-            best, beam = beam_decode(inst.inputs, model.params, b, inst.has_stop)
-            decoded_pairs.append((list(best.positions), inst.gold_positions))
-            for metric in oracle_sums:
-                _, score = oracle_in_beam(beam, inst.gold_positions, metric)
-                oracle_sums[metric] += score
+    for b, decoded_pairs, oracle_sums in sweeps:
         report = aggregate(decoded_pairs)
         n = len(instances)
         lines.append(

@@ -15,10 +15,13 @@ attention keys of every document (and the stop key) are projected by one
 GEMM, and so is every decoder input.  Each input is START or one of a
 document's sentence vectors, so the input half of the decoder LSTM product
 is computed once (input_pre = [start; sentences] @ W_x + b) and each step
-only adds hidden @ W_h to the rows it gathers.  Exhaustive search and
-rescoring teacher-force the differentiable Graph path of ordernet.model.
-No search runs the per-step Graph functions, which compose primitives and
-have no fused op.
+only adds hidden @ W_h to the rows it gathers.  A beam step computes only
+what differs between candidates: hidden @ W_h once per distinct surviving
+parent (its children share it and differ only in their input_pre row), and
+attention logits only for the (row, slot) pairs that are still visible.
+Exhaustive search and rescoring teacher-force the differentiable Graph path
+of ordernet.model.  No search runs the per-step Graph functions, which
+compose primitives and have no fused op.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ class BatchDecoder:
     one decoder state; advance() and log_probs() apply the decoder LSTM
     step and the pointing distribution of model.advance_decoder and
     model.decode_step to every row at once, with no gradient buffers.
+    advance() steps children from their parents' rows, multiplying each
+    distinct parent's hidden state by the recurrent weights once;
+    log_probs() evaluates the attention only at the visible pairs.
     """
 
     @classmethod
@@ -90,23 +96,45 @@ class BatchDecoder:
             decoders.append(decoder)
         return decoders
 
-    def advance(self, hidden, cell, chosen):
-        """Decoder LSTM step of every row; chosen[r] is START or a position."""
+    def advance(self, hidden, cell, parents, chosen):
+        """Decoder LSTM step of one child per entry of parents and chosen.
+
+        Child r continues row parents[r] of the previous states hidden and
+        cell by reading chosen[r], START or a position.  hidden @ W_h is
+        computed once per distinct parent, in order of first appearance,
+        and gathered for each of its children.  The result equals stepping
+        hidden[parents] and cell[parents], bit for bit unless several
+        children all share one parent: that one-row product goes through a
+        matrix-vector routine, which may round differently.
+        """
         chosen = np.asarray(chosen)
         if np.any((chosen < START) | (chosen >= self.n)):
             raise IndexRangeError(f"chosen positions {chosen} outside {self.n} inputs")
-        pre = self.input_pre[chosen + 1] + hidden @ self.hidden_w
-        hidden, cell, _ = lstm_cell(pre, cell)
+        first = {}
+        inverse = [first.setdefault(p, len(first)) for p in parents]
+        if min(first) < 0 or max(first) >= len(hidden):
+            raise IndexRangeError(f"parent rows {list(first)} outside {len(hidden)} states")
+        pre = hidden[list(first)] @ self.hidden_w
+        if len(first) < len(inverse):  # else its rows are already in child order
+            pre = pre[inverse]
+        pre += self.input_pre[chosen + 1]
+        hidden, cell, _ = lstm_cell(pre, cell[parents])
         return hidden, cell
 
-    def log_probs(self, hidden, mask):
-        """(B, slots) log pointing distributions; mask[r, j] True hides slot j.
+    def log_probs(self, hidden, visible):
+        """(B, slots) log pointing distributions of the B rows of hidden.
 
-        Hidden slots come out as -inf, so they are never the argmax of a row
-        with any visible slot.  Every row needs one visible slot.
+        visible is the pair (rows, columns) of index arrays that
+        np.nonzero(~mask) returns for a (B, slots) mask that is True on
+        hidden slots.  The attention logit is computed at those pairs only;
+        every other slot comes out as -inf, so it is never the argmax of a
+        row with any visible slot.  Every row needs one visible slot.
         """
-        logits = np.tanh(self.keys[None, :, :] + (hidden @ self.query_w)[:, None, :]) @ self.attn_v
-        logits = np.where(mask, -np.inf, logits)
+        rows, free = visible
+        pairs = self.keys[free]
+        pairs += (hidden @ self.query_w)[rows]
+        logits = np.full((len(hidden), self.slots), -np.inf)
+        logits[rows, free] = np.tanh(pairs, out=pairs) @ self.attn_v
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
@@ -137,11 +165,12 @@ def beam_decode(sentences, params, beam_size, variable_length=False, decoder=Non
     Candidates sort by (-cumulative score, key), the key being the positions
     with the stop slot n appended once stopped.  Finished candidates stay in
     the beam at their final score and compete with live ones for the
-    beam_size slots.  Each level scores every live candidate in one
-    log_probs call and advances the surviving children in one advance call.
-    A candidate left with one visible slot takes it at its unchanged score,
-    unscored (that step's log-softmax is exactly 0.0), so a fixed-length
-    search makes n - 1 levels.  decoder, when given, is the document's
+    beam_size slots.  Each level advances the surviving children from their
+    parents' rows in one advance call and scores their visible slots, found
+    by one np.nonzero over the mask, in one log_probs call.  A candidate
+    left with one visible slot takes it at its unchanged score, unscored
+    (that step's log-softmax is exactly 0.0), so a fixed-length search
+    makes n - 1 levels.  decoder, when given, is the document's
     BatchDecoder, built beforehand (by BatchDecoder.for_documents, say) from
     the same sentences and params.
     """
@@ -161,7 +190,7 @@ def beam_decode(sentences, params, beam_size, variable_length=False, decoder=Non
         return score, key, positions if last == n else key, None
 
     # Row r of hidden, cell and mask holds the decoder state of the live
-    # candidate whose parent row is r, before its last position is read.
+    # candidates whose parent row is r, before their last position is read.
     hidden, cell = decoder.initial
     mask = np.zeros((1, slots), dtype=bool)
     beam = [candidate(0.0, (), 0)]
@@ -173,9 +202,9 @@ def beam_decode(sentences, params, beam_size, variable_length=False, decoder=Non
             mask[np.arange(len(live)), chosen] = True
         else:
             chosen = [START]
-        hidden, cell = decoder.advance(hidden[parents], cell[parents], chosen)
-        rows, free = np.nonzero(~mask)
-        step = decoder.log_probs(hidden, mask)
+        hidden, cell = decoder.advance(hidden, cell, parents, chosen)
+        rows, free = visible = np.nonzero(~mask)
+        step = decoder.log_probs(hidden, visible)
         scores = np.array([score for score, _, _, _ in live])[rows] + step[rows, free]
         expansions = [e for e in beam if e[3] is None]
         for row, slot, score in zip(rows.tolist(), free.tolist(), scores.tolist()):

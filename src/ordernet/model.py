@@ -339,6 +339,8 @@ def saliency(instance, prefix, params, choice=None, allow_stop=False):
     probability of `choice` (the greedy argmax when omitted, else a slot
     not in the prefix) with respect to each word embedding use, on one
     BLAS thread.  The parameters' gradients are left as they were found.
+    A forced step, whose one free slot is the choice, builds no graph: its
+    probability is exactly 1 and every score exactly 0, as backward gives.
     """
     n = len(instance.inputs)
     prefix = list(prefix)
@@ -346,6 +348,10 @@ def saliency(instance, prefix, params, choice=None, allow_stop=False):
     slots = n + 1 if allow_stop else n
     if choice is not None and (choice in prefix or not 0 <= choice < slots):
         raise InvalidOrderError(f"choice {choice} is not a free slot of {slots}")
+    if len(prefix) == slots - 1:
+        (free,) = set(range(slots)) - set(prefix)
+        return SaliencyResult(step=len(prefix) + 1, choice=free, probability=1.0,
+                              scores=[[0.0] * len(sentence) for sentence in instance.inputs])
     with single_blas_thread():
         graph = Graph()
         encoded = encode_document(graph, instance.inputs, params)

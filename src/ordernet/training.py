@@ -262,10 +262,22 @@ def _worker_decode(chunk):
     return _decode_chunk(model, chunk, strategy, beam_size)
 
 
+def instance_chunks(model, instances):
+    """Consecutive chunks of model.config.batch_size instances.  Decoding
+    encodes each chunk once, so the boundaries depend on batch_size alone."""
+    size = model.config.batch_size
+    return [instances[lo:lo + size] for lo in range(0, len(instances), size)]
+
+
+def chunk_decoders(model, chunk):
+    """One BatchDecoder per instance of a chunk, from one encoding of its documents."""
+    return BatchDecoder.for_documents(
+        [inst.inputs for inst in chunk], model.params, [inst.has_stop for inst in chunk])
+
+
 def _decode_chunk(model, chunk, strategy, beam_size):
     """Decode a chunk of instances from one encoding of all their documents."""
-    decoders = BatchDecoder.for_documents(
-        [inst.inputs for inst in chunk], model.params, [inst.has_stop for inst in chunk])
+    decoders = chunk_decoders(model, chunk)
     if strategy == "greedy":
         return [greedy_decode(inst.inputs, model.params, inst.has_stop, decoder=decoder)
                 for inst, decoder in zip(chunk, decoders)]
@@ -276,10 +288,10 @@ def _decode_chunk(model, chunk, strategy, beam_size):
 def decode_instances(model, instances, strategy="greedy", beam_size=None, jobs=1):
     """Predicted orders for a list of instances, in input order.
 
-    Instances are decoded in consecutive chunks of model.config.batch_size,
-    each from one forward-only encoding of its documents.  With jobs > 1
-    the chunks (the same ones whatever jobs is) are spread over worker
-    processes, so there is work to split only when there is more than one.
+    Instances are decoded in the chunks of instance_chunks, each from one
+    forward-only encoding of its documents.  With jobs > 1 the chunks (the
+    same ones whatever jobs is) are spread over worker processes, so there
+    is work to split only when there is more than one.
     """
     if strategy not in ("greedy", "beam"):
         raise ConfigError(f"unknown decode strategy {strategy!r}")
@@ -287,8 +299,7 @@ def decode_instances(model, instances, strategy="greedy", beam_size=None, jobs=1
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
     if beam_size is None:
         beam_size = model.config.beam_size
-    size = model.config.batch_size
-    chunks = [instances[lo:lo + size] for lo in range(0, len(instances), size)]
+    chunks = instance_chunks(model, instances)
     if jobs > 1 and len(chunks) > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(jobs, len(chunks)), initializer=_worker_init,

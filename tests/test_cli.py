@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from ordernet import cli
+from ordernet import cli, decoding
 from ordernet.training import checkpoint_load
 
 
@@ -340,3 +340,23 @@ def test_oracle_sweep_reports_nondecreasing_oracle_scores(capsys, toy_corpus_dir
     for row in rows:
         assert float(row[6]) >= float(row[3]) - 1e-12  # oracle beats decoded
     assert (tmp_path / "oracle.tsv").exists()
+
+
+def test_oracle_encodes_each_chunk_once_for_every_beam_width(capsys, monkeypatch,
+                                                           toy_corpus_dir, toy_checkpoint):
+    # The toy checkpoint has batch_size 8, so its 12 test documents make
+    # two chunks; one-document decoders per width would encode 12 x 3 times.
+    encoded = []
+    encode_batch = decoding.encode_batch
+
+    def counting(graph, documents, params):
+        encoded.append(len(documents))
+        return encode_batch(graph, documents, params)
+
+    monkeypatch.setattr(decoding, "encode_batch", counting)
+    rc, out, _ = run_cli(capsys, [
+        "oracle", "--checkpoint", toy_checkpoint,
+        "--test", str(toy_corpus_dir / "test.txt"), "--beams", "1,2,4"])
+    assert rc == 0
+    assert encoded == [8, 4]
+    assert [l.split("\t")[0] for l in out.splitlines() if not l.startswith("#")] == ["1", "2", "4"]

@@ -12,6 +12,7 @@ from helpers import (
     ref_context,
     ref_log_prob,
     ref_lstm_step,
+    ref_lstm_update,
     ref_step_probs,
     tiny_params,
 )
@@ -52,17 +53,18 @@ def test_batch_decoder_rows_equal_graph_steps():
         b, hd = int(rng.integers(1, 9)), params.hidden_dim
 
         hidden, cell = rng.normal(size=(b, hd)), rng.normal(size=(b, hd))
+        parents = rng.integers(0, b, size=b).tolist()
         chosen = rng.integers(model.START, n, size=b)
-        new_hidden, new_cell = decoder.advance(hidden, cell, chosen)
+        new_hidden, new_cell = decoder.advance(hidden, cell, parents, chosen)
         slots = n + 1 if variable else n
         mask = rng.random((b, slots)) < 0.5
         mask[np.arange(b), rng.integers(0, slots, size=b)] = False
-        step = decoder.log_probs(hidden, mask)
+        step = decoder.log_probs(hidden, np.nonzero(~mask))
         assert new_hidden.shape == new_cell.shape == (b, hd)
         assert step.shape == (b, slots)
 
-        for r in range(b):
-            h, c = model.advance_decoder(graph, (Tensor(hidden[r]), Tensor(cell[r])),
+        for r, parent in enumerate(parents):
+            h, c = model.advance_decoder(graph, (Tensor(hidden[parent]), Tensor(cell[parent])),
                                          int(chosen[r]), encoded, params)
             assert np.max(np.abs(new_hidden[r] - h.value)) <= 1e-12
             assert np.max(np.abs(new_cell[r] - c.value)) <= 1e-12
@@ -87,7 +89,7 @@ def test_a_masked_dominant_slot_leaves_the_visible_distribution_intact():
     (decoder,) = BatchDecoder.for_documents([sentences], params, [True])
     mask = np.array([[False, True, False, False, True],
                      [False, False, False, False, False]])
-    step = decoder.log_probs(np.zeros((2, h)), mask)
+    step = decoder.log_probs(np.zeros((2, h)), np.nonzero(~mask))
     assert step[0, 4] == -np.inf and np.all(np.isfinite(step[0, [0, 2, 3]]))
     assert abs(np.exp(step[0, [0, 2, 3]]).sum() - 1.0) <= 1e-12
     assert int(np.argmax(step[1])) == 4
@@ -98,9 +100,13 @@ def test_batch_decoder_rejects_positions_outside_the_document():
     sentences = random_sentences(np.random.default_rng(14), 12, 3)
     (decoder,) = BatchDecoder.for_documents([sentences], params, [False])
     with pytest.raises(IndexRangeError):
-        decoder.advance(*decoder.initial, [3])
+        decoder.advance(*decoder.initial, [0], [3])
     with pytest.raises(IndexRangeError):
-        decoder.advance(*decoder.initial, [model.START - 1])
+        decoder.advance(*decoder.initial, [0], [model.START - 1])
+    with pytest.raises(IndexRangeError):
+        decoder.advance(*decoder.initial, [0, 1], [0, 1])
+    with pytest.raises(IndexRangeError):
+        decoder.advance(*decoder.initial, [-1], [0])
 
 
 def test_a_decoder_that_does_not_fit_the_document_is_refused():
@@ -134,13 +140,114 @@ def test_batch_decoder_advance_equals_graph_step_at_standard_dimensions():
         chosen = np.arange(model.START, len(sentences))
         hidden = rng.normal(size=(len(chosen), 200))
         cell = rng.normal(size=(len(chosen), 200))
-        new_hidden, new_cell = decoder.advance(hidden, cell, chosen)
+        new_hidden, new_cell = decoder.advance(hidden, cell, range(len(chosen)), chosen)
         for r, position in enumerate(chosen.tolist()):
             h, c = model.advance_decoder(Graph(recording=False),
                                          (Tensor(hidden[r]), Tensor(cell[r])),
                                          position, encoded, params)
             assert np.max(np.abs(new_hidden[r] - h.value)) <= 1e-12
             assert np.max(np.abs(new_cell[r] - c.value)) <= 1e-12
+
+
+def test_advance_from_repeated_parents_equals_gather_then_step():
+    # Children of one parent share its recurrent product; the step must
+    # equal stepping the gathered rows, exactly whenever advance's product
+    # has at least two rows (a one-row product may round differently).
+    rng = np.random.default_rng(25)
+    shared = 0
+    for trial in range(60):
+        kind = ("cbow", "cnn", "lstm")[trial % 3]
+        params = standard_params(kind, seed=26) if trial < 3 else tiny_params(kind, seed=trial)
+        n = int(rng.integers(1, 7))
+        sentences = random_sentences(rng, 12, n)
+        (decoder,) = BatchDecoder.for_documents([sentences], params, [bool(trial % 2)])
+        rows, hd = int(rng.integers(1, 9)), params.hidden_dim
+        hidden, cell = rng.normal(size=(rows, hd)), rng.normal(size=(rows, hd))
+        parents = rng.integers(0, rows, size=int(rng.integers(1, 3 * rows + 1))).tolist()
+        if trial % 4 == 0:
+            parents = [parents[0]] * len(parents)
+        chosen = rng.integers(model.START, n, size=len(parents))
+        new_hidden, new_cell = decoder.advance(hidden, cell, parents, chosen)
+        ref_hidden, ref_cell = ref_lstm_update(
+            decoder.input_pre[chosen + 1] + hidden[parents] @ decoder.hidden_w, cell[parents])
+        assert np.max(np.abs(new_hidden - ref_hidden)) <= 1e-12
+        assert np.max(np.abs(new_cell - ref_cell)) <= 1e-12
+        if len(set(parents)) > 1 or len(parents) == 1:
+            assert np.array_equal(new_hidden, ref_hidden)
+            assert np.array_equal(new_cell, ref_cell)
+        shared += len(set(parents)) < len(parents)
+    assert shared, "no trial gave a parent more than one child"
+
+
+def test_log_probs_equal_the_reference_on_visible_slots():
+    rng = np.random.default_rng(27)
+    lone = 0
+    for trial in range(60):
+        kind = ("cbow", "cnn", "lstm")[trial % 3]
+        variable = bool(trial // 3 % 2)
+        params = tiny_params(kind, seed=6000 + trial)
+        overwrite_well_scaled(params, seed=6000 + trial)
+        n = int(rng.integers(1, 7))
+        sentences = random_sentences(rng, 12, n)
+        (decoder,) = BatchDecoder.for_documents([sentences], params, [variable])
+        _, hiddens, _ = ref_context(params, sentences)
+        rows, slots = int(rng.integers(1, 9)), n + variable
+        hidden = rng.normal(size=(rows, params.hidden_dim))
+        mask = rng.random((rows, slots)) < 0.5
+        mask[np.arange(rows), rng.integers(0, slots, size=rows)] = False
+        mask[0] = True  # row 0 keeps one slot, the stop slot when there is one
+        mask[0, slots - 1] = False
+        step = decoder.log_probs(hidden, np.nonzero(~mask))
+        for r in range(rows):
+            probs = ref_step_probs(params, hiddens, hidden[r], mask[r], variable)
+            keep = ~mask[r]
+            assert np.all(step[r][mask[r]] == -np.inf)
+            assert np.max(np.abs(step[r][keep] - np.log(probs[keep]))) <= 1e-12
+        assert step[0, slots - 1] == 0.0
+        lone += slots > 1
+    assert lone, "no trial masked all but one of several slots"
+
+
+class CountingWeight:
+    """A weight matrix that records the row count of every product with it."""
+
+    __array_ufunc__ = None  # ndarray @ self defers to __rmatmul__
+
+    def __init__(self, value):
+        self.value, self.rows = value, []
+
+    def __rmatmul__(self, left):
+        self.rows.append(left.shape[0])
+        return left @ self.value
+
+
+def test_each_level_multiplies_each_distinct_parent_once(monkeypatch):
+    levels = []  # (distinct parents, children) of each advance call
+    advance = BatchDecoder.advance
+
+    def recording(self, hidden, cell, parents, chosen):
+        levels.append((len(set(parents)), len(parents)))
+        return advance(self, hidden, cell, parents, chosen)
+
+    monkeypatch.setattr(BatchDecoder, "advance", recording)
+    rng = np.random.default_rng(28)
+    shared = 0
+    for trial in range(12):
+        kind = ("cbow", "cnn", "lstm")[trial % 3]
+        variable = bool(trial % 2)
+        params = tiny_params(kind, seed=7000 + trial)
+        overwrite_well_scaled(params, seed=7000 + trial)
+        sentences = random_sentences(rng, 12, int(rng.integers(2, 7)))
+        (decoder,) = BatchDecoder.for_documents([sentences], params, [variable])
+        decoder.hidden_w = CountingWeight(decoder.hidden_w)
+        levels.clear()
+        _, beam = beam_decode(sentences, params, (1, 4, 64)[trial % 3], variable,
+                              decoder=decoder)
+        _, ref_beam = ref_beam_decode(sentences, params, (1, 4, 64)[trial % 3], variable)
+        assert [o.positions for o in beam] == [o.positions for o in ref_beam]
+        assert decoder.hidden_w.rows == [parents for parents, _ in levels]
+        shared += any(parents < children for parents, children in levels)
+    assert shared, "no level gave a parent more than one surviving child"
 
 
 def test_search_never_builds_per_word_row_views(monkeypatch):

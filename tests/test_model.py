@@ -384,6 +384,21 @@ def test_saliency_with_stop_slot_probes_the_stop_probability():
     assert all(v == 0.0 for scores in forced.scores for v in scores)
 
 
+def test_a_forced_saliency_step_builds_no_graph(monkeypatch):
+    # The last free slot has probability exactly 1 and backward gives every
+    # word exactly 0 there, so saliency returns that without a graph.
+    rng = np.random.default_rng(14)
+    params = tiny_params("cnn", seed=9)
+    sentences = random_sentences(rng, 12, 4)
+    inst = SimpleNamespace(inputs=sentences, target=[0, 1, 2, 3])
+    monkeypatch.setattr("ordernet.model.Graph", None)
+    for prefix, allow_stop, last in (([2, 0, 3], False, 1), ([2, 0, 3, 1], True, 4)):
+        for choice in (None, last):
+            forced = saliency(inst, prefix, params, choice, allow_stop=allow_stop)
+            assert (forced.step, forced.choice, forced.probability) == (len(prefix) + 1, last, 1.0)
+            assert forced.scores == [[0.0] * len(s) for s in sentences]
+
+
 def test_lstm_saliency_matches_the_step_by_step_encoder(monkeypatch):
     # The word and context LSTMs run as one lstm_sequence op each; swapping
     # in a chain of lstm_step ops must give the same word attributions.
