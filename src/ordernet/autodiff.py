@@ -283,44 +283,67 @@ class Graph:
 
         return self._emit(out, backward_fn)
 
-    def lstm_sequence(self, x, lengths, h0, c0, w, b, keep_hidden=True):
+    def lstm_sequence(self, x, lengths, h0, c0, w, b, keep_hidden=True, index=None):
         """An LSTM run over a batch of ragged sequences as a single op.
 
         x holds the input vectors of S sequences one after another, a
         (sum(lengths), k) matrix; sequence s is lengths[s] >= 1 rows long
-        and starts from row s of the (S, d) states h0 and c0.  w is the
-        ([x; h_prev], 4d) weight matrix and b the 4d bias, packed as in
-        lstm_cell.  One GEMM projects every input; then each time index
+        and starts from row s of the (S, d) states h0 and c0, or from zero
+        states when both are None.  w is the ([x; h_prev], 4d) weight
+        matrix and b the 4d bias, packed as in lstm_cell.  index, when
+        given, is the lookup index the rows of x came from, one entry per
+        row, with equal entries marking equal rows: the input projection
+        x @ W_x + b is then computed once per distinct entry, else once per
+        row, and each time index gathers its rows of it.  Each time index
         advances the rows still inside their sequence in one batched step,
-        and a row keeps its state once its sequence ends.  Returns
-        (hidden, final_h, final_c): the hidden state after every input,
-        row-aligned with x, and each sequence's last hidden and cell
-        states as (S, d) matrices.  With keep_hidden false, hidden is None
-        and is never stored.  This is the only LSTM op; one step on a graph
-        is a composition of primitives (encoders.lstm_step).
+        and a row keeps its state once its sequence ends; from zero states
+        the first step adds no recurrent product.  Returns (hidden,
+        final_h, final_c): the hidden state after every input, row-aligned
+        with x, and each sequence's last hidden and cell states as (S, d)
+        matrices.  With keep_hidden false, hidden is None and is never
+        stored.  This is the only LSTM op; one step on a graph is a
+        composition of primitives (encoders.lstm_step).
 
         Only the gate activations and cell states of each step are stored;
         backward() recomputes the rest from them, runs the recurrence back
         by hand, and adds the weight gradient as [x; h_prev]^T @ d_pre and
-        the bias gradient as one column sum.  Values round differently from
-        a chain of encoders.lstm_step calls (the projection splits the
-        [x; h_prev] @ w product in two).
+        the bias gradient as one column sum.  x's gradient stays one row
+        per input row, index or not.  From zero states, the gradients of
+        the states before the first step are never formed.  Values round
+        differently from a chain of encoders.lstm_step calls (the
+        projection splits the [x; h_prev] @ w product in two).
         """
-        xv, hv, cv, wv, bv = x.value, h0.value, c0.value, w.value, b.value
+        xv, wv, bv = x.value, w.value, b.value
         if xv.ndim != 2:
             raise ShapeError(f"lstm_sequence expects a matrix of input rows, got {xv.shape}")
         lengths, offsets = _segments(lengths, xv.shape[0], "lstm_sequence")
         rows_total, (n, k) = len(lengths), xv.shape
-        if hv.ndim != 2 or hv.shape[0] != rows_total or cv.shape != hv.shape:
-            raise ShapeError(f"lstm_sequence expects ({rows_total}, d) states h0 and c0, "
-                             f"got {hv.shape} and {cv.shape}")
-        d = hv.shape[1]
+        zero_start = h0 is None
+        if zero_start != (c0 is None):
+            raise ShapeError("lstm_sequence expects both of h0 and c0, or neither")
+        if zero_start:
+            d = wv.shape[-1] // 4
+            hv = cv = np.zeros((rows_total, d))
+        else:
+            hv, cv = h0.value, c0.value
+            if hv.ndim != 2 or hv.shape[0] != rows_total or cv.shape != hv.shape:
+                raise ShapeError(f"lstm_sequence expects ({rows_total}, d) states h0 and c0, "
+                                 f"got {hv.shape} and {cv.shape}")
+            d = hv.shape[1]
         if wv.shape != (k + d, 4 * d) or bv.shape != (4 * d,):
             raise ShapeError(f"lstm_sequence weights {wv.shape} and bias {bv.shape} do not "
                              f"fit input {k} and state {d}")
 
         w_input, w_hidden = wv[:k], wv[k:]
-        projected = xv @ w_input + bv
+        if index is None:
+            projected, source = xv @ w_input + bv, None
+        else:
+            index = np.asarray(index)
+            if index.shape != (n,):
+                raise ShapeError(f"lstm_sequence expects an index of {n} entries, "
+                                 f"got {index.shape}")
+            _, first, source = np.unique(index, return_index=True, return_inverse=True)
+            projected = xv[first] @ w_input + bv
         h, c = hv.copy(), cv.copy()
         acts_all = np.empty((n, 4 * d)) if self.recording else None
         c_all = np.empty((n, d)) if self.recording else None
@@ -329,8 +352,10 @@ class Graph:
         for t in range(lengths.max()):
             rows = np.flatnonzero(lengths > t)
             flat = offsets[rows] + t
-            h_new, c_new, acts = lstm_cell(
-                projected[flat] + h[rows] @ w_hidden, c[rows])
+            pre = projected[flat if source is None else source[flat]]
+            if t or not zero_start:
+                pre += h[rows] @ w_hidden
+            h_new, c_new, acts = lstm_cell(pre, c[rows])
             h[rows], c[rows] = h_new, c_new
             if self.recording:
                 acts_all[flat], c_all[flat] = acts, c_new
@@ -361,10 +386,12 @@ class Graph:
                     dct * gate_in * (1.0 - candidate * candidate),
                 ], axis=-1)
                 d_pre_all[flat] = d_pre
-                dc[rows] = dct * gate_forget
-                dh[rows] = d_pre @ w_hidden.T
-            h0.grad += dh
-            c0.grad += dc
+                if t or not zero_start:  # else only h0 and c0 would read them
+                    dc[rows] = dct * gate_forget
+                    dh[rows] = d_pre @ w_hidden.T
+            if not zero_start:
+                h0.grad += dh
+                c0.grad += dc
             # The hidden state before each input: h0 for a sequence's first
             # row, else the previous row's output gate times tanh(cell).
             h_prev_all = np.empty((n, d))

@@ -17,8 +17,10 @@ document's sentence vectors, so the input half of the decoder LSTM product
 is computed once (input_pre = [start; sentences] @ W_x + b) and each step
 only adds hidden @ W_h to the rows it gathers.  A beam step computes only
 what differs between candidates: hidden @ W_h once per distinct surviving
-parent (its children share it and differ only in their input_pre row), and
-attention logits only for the (row, slot) pairs that are still visible.
+parent (its children share it and differ only in their input_pre row),
+attention logits only for the (row, slot) pairs that are still visible, and
+Python candidates only for the children that can survive the level's
+top-k cut.
 Exhaustive search and rescoring teacher-force the differentiable Graph path
 of ordernet.model.  No search runs the per-step Graph functions, which
 compose primitives and have no fused op.
@@ -31,7 +33,7 @@ import itertools
 import numpy as np
 
 from .autodiff import Graph, lstm_cell
-from .errors import IndexRangeError, InvalidOrderError, ShapeError
+from .errors import IndexRangeError, InvalidOrderError, NumericError, ShapeError
 from .metrics import lsr_scores, pm_scores
 from .model import START, Order, encode_batch, sequence_log_prob
 
@@ -66,7 +68,9 @@ class BatchDecoder:
         The keys of every document plus the stop key, and the START input
         plus every sentence vector, are each projected by one GEMM; each
         decoder then gathers its own rows.  variable_flags[b] gives document
-        b the stop slot.
+        b the stop slot.  Raises NumericError unless every array a search
+        reads (keys, input projections, start states, decoder weights) is
+        finite.
         """
         if len(variable_flags) != len(documents):
             raise ShapeError(f"{len(variable_flags)} length modes for {len(documents)} documents")
@@ -80,6 +84,12 @@ class BatchDecoder:
         keys = np.vstack([context, params.stop_key.value]) @ attn_w[:hd]
         inputs = np.vstack([params.start_input.value, batch.sentences.value])
         input_pre = inputs @ cell_w[:-hd] + params.decoder_cell.b.value
+        # Every value a search reads comes from these arrays; a NaN among
+        # them would sort out of the beam instead of failing.
+        if not all(np.isfinite(a).all() for a in (
+                keys, input_pre, batch.final_h.value, batch.final_c.value, cell_w[-hd:],
+                attn_w[hd:], params.attn_v.value)):
+            raise NumericError("the decoder's inputs or weights are not finite")
         decoders = []
         for b, (offset, n, variable) in enumerate(
                 zip(batch.doc_offsets.tolist(), batch.doc_lengths.tolist(), variable_flags)):
@@ -100,25 +110,33 @@ class BatchDecoder:
         """Decoder LSTM step of one child per entry of parents and chosen.
 
         Child r continues row parents[r] of the previous states hidden and
-        cell by reading chosen[r], START or a position.  hidden @ W_h is
-        computed once per distinct parent, in order of first appearance,
-        and gathered for each of its children.  The result equals stepping
+        cell by reading chosen[r], START or a position; both are checked
+        to be in range as the lists they are.  hidden @ W_h is computed
+        once per distinct parent, in order of first appearance, and
+        gathered for each of its children; when the distinct parents are
+        the rows of hidden in order (always at width 1), hidden and cell
+        are read as they are, with no gather.  The result equals stepping
         hidden[parents] and cell[parents], bit for bit unless several
         children all share one parent: that one-row product goes through a
         matrix-vector routine, which may round differently.
         """
-        chosen = np.asarray(chosen)
-        if np.any((chosen < START) | (chosen >= self.n)):
-            raise IndexRangeError(f"chosen positions {chosen} outside {self.n} inputs")
+        if min(chosen) < START or max(chosen) >= self.n:
+            raise IndexRangeError(f"chosen positions {list(chosen)} outside {self.n} inputs")
         first = {}
         inverse = [first.setdefault(p, len(first)) for p in parents]
-        if min(first) < 0 or max(first) >= len(hidden):
-            raise IndexRangeError(f"parent rows {list(first)} outside {len(hidden)} states")
-        pre = hidden[list(first)] @ self.hidden_w
-        if len(first) < len(inverse):  # else its rows are already in child order
+        distinct = list(first)
+        in_order = distinct == list(range(len(hidden)))
+        if not in_order:
+            if min(distinct) < 0 or max(distinct) >= len(hidden):
+                raise IndexRangeError(f"parent rows {distinct} outside {len(hidden)} states")
+            hidden = hidden[distinct]
+        pre = hidden @ self.hidden_w
+        if len(distinct) < len(inverse):  # else its rows are already in child order
             pre = pre[inverse]
-        pre += self.input_pre[chosen + 1]
-        hidden, cell, _ = lstm_cell(pre, cell[parents])
+        if not in_order or len(distinct) < len(inverse):  # else cell is cell[parents]
+            cell = cell[parents]
+        pre += self.input_pre[[position + 1 for position in chosen]]
+        hidden, cell, _ = lstm_cell(pre, cell)
         return hidden, cell
 
     def log_probs(self, hidden, visible):
@@ -167,10 +185,13 @@ def beam_decode(sentences, params, beam_size, variable_length=False, decoder=Non
     the beam at their final score and compete with live ones for the
     beam_size slots.  Each level advances the surviving children from their
     parents' rows in one advance call and scores their visible slots, found
-    by one np.nonzero over the mask, in one log_probs call.  A candidate
-    left with one visible slot takes it at its unchanged score, unscored
-    (that step's log-softmax is exactly 0.0), so a fixed-length search
-    makes n - 1 levels.  decoder, when given, is the document's
+    by one np.nonzero over the mask, in one log_probs call.  Only the
+    children scoring at least the beam_size-th best live child's score, ties
+    included, become candidates for the exact sort (np.partition finds that
+    score); any other child has beam_size live children strictly ahead of
+    it.  A candidate left with one visible slot takes it at its unchanged
+    score, unscored (that step's log-softmax is exactly 0.0), so a
+    fixed-length search makes n - 1 levels.  decoder, when given, is the document's
     BatchDecoder, built beforehand (by BatchDecoder.for_documents, say) from
     the same sentences and params.
     """
@@ -206,6 +227,11 @@ def beam_decode(sentences, params, beam_size, variable_length=False, decoder=Non
         rows, free = visible = np.nonzero(~mask)
         step = decoder.log_probs(hidden, visible)
         scores = np.array([score for score, _, _, _ in live])[rows] + step[rows, free]
+        if len(scores) > beam_size:
+            # beam_size live expansions score at least the cut, so none
+            # scoring less can survive the sort; those tying it still may.
+            keep = scores >= np.partition(scores, -beam_size)[-beam_size]
+            rows, free, scores = rows[keep], free[keep], scores[keep]
         expansions = [e for e in beam if e[3] is None]
         for row, slot, score in zip(rows.tolist(), free.tolist(), scores.tolist()):
             positions = live[row][2]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Param, Tensor, row_view
+from .autodiff import Param, row_view
 from .errors import ConfigError, EmptyInputError
 
 ENCODER_KINDS = ("cbow", "cnn", "lstm")
@@ -82,13 +82,16 @@ def lstm_step(graph, x, h_prev, c_prev, cell):
     return graph.mul(gate_out, graph.tanh(c)), c
 
 
-def lstm_run(graph, x, lengths, cell, keep_hidden=True):
+def lstm_run(graph, x, lengths, cell, keep_hidden=True, index=None):
     """Run the cell over each run of rows of x from a zero state, in one op.
 
-    Returns (hidden, final_h, final_c) as Graph.lstm_sequence does.
+    The zero state is passed as no state at all, so the first step makes no
+    recurrent product and backward forms no gradient of the start state.
+    index is the lookup index the rows of x came from, if any (see
+    Graph.lstm_sequence).  Returns (hidden, final_h, final_c) as
+    Graph.lstm_sequence does.
     """
-    zeros = Tensor(np.zeros((len(lengths), cell.state_dim)))
-    return graph.lstm_sequence(x, lengths, zeros, zeros, cell.w, cell.b, keep_hidden)
+    return graph.lstm_sequence(x, lengths, None, None, cell.w, cell.b, keep_hidden, index)
 
 
 class ConvFilter:
@@ -128,9 +131,13 @@ def cnn_vectors(graph, words, lengths, filters):
     return graph.conv_max(words, lengths, [(f.width, f.w, f.b) for f in filters])
 
 
-def lstm_vectors(graph, words, lengths, cell):
-    """Final hidden state of an LSTM run over each sentence's words."""
-    _, final_h, _ = lstm_run(graph, words, lengths, cell, keep_hidden=False)
+def lstm_vectors(graph, words, lengths, cell, ids=None):
+    """Final hidden state of an LSTM run over each sentence's words.
+
+    ids, when given, are the word ids the rows of words were looked up
+    from; each distinct id's input projection is then computed once.
+    """
+    _, final_h, _ = lstm_run(graph, words, lengths, cell, keep_hidden=False, index=ids)
     return final_h
 
 

@@ -51,20 +51,29 @@ def pm_scores(pred, gold):
     an empty prediction scores 0.0 precision.
     """
     pred, gold = list(pred), list(gold)
-    common = _pair_count(lcs_length(pred, gold))
-    pred_pairs = _pair_count(len(pred))
-    gold_pairs = _pair_count(len(gold))
-    p = common / pred_pairs if pred_pairs else 0.0
-    r = common / gold_pairs if gold_pairs else 0.0
-    return PRF(p, r, _f_score(p, r))
+    return _pm_of(lcs_length(pred, gold), len(pred), len(gold))
 
 
 def lsr_scores(pred, gold):
     """Longest-shared-subsequence ratio scores."""
     pred, gold = list(pred), list(gold)
-    common = lcs_length(pred, gold)
-    p = common / len(pred) if pred else 0.0
-    r = common / len(gold) if gold else 0.0
+    return _lsr_of(lcs_length(pred, gold), len(pred), len(gold))
+
+
+def _pm_of(lcs, pred_len, gold_len):
+    """pm_scores from the LCS length and the two sequence lengths."""
+    common = _pair_count(lcs)
+    pred_pairs = _pair_count(pred_len)
+    gold_pairs = _pair_count(gold_len)
+    p = common / pred_pairs if pred_pairs else 0.0
+    r = common / gold_pairs if gold_pairs else 0.0
+    return PRF(p, r, _f_score(p, r))
+
+
+def _lsr_of(lcs, pred_len, gold_len):
+    """lsr_scores from the LCS length and the two sequence lengths."""
+    p = lcs / pred_len if pred_len else 0.0
+    r = lcs / gold_len if gold_len else 0.0
     return PRF(p, r, _f_score(p, r))
 
 
@@ -121,10 +130,12 @@ def aggregate(pairs):
     n = len(pairs)
     pm_p = pm_r = lsr_p = lsr_r = exact = head = tail = 0.0
     for pred, gold in pairs:
-        s = pm_scores(pred, gold)
+        pred, gold = list(pred), list(gold)
+        lcs = lcs_length(pred, gold)
+        s = _pm_of(lcs, len(pred), len(gold))
         pm_p += s.p
         pm_r += s.r
-        s = lsr_scores(pred, gold)
+        s = _lsr_of(lcs, len(pred), len(gold))
         lsr_p += s.p
         lsr_r += s.r
         exact += pmr(pred, gold)

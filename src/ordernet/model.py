@@ -124,17 +124,17 @@ class PtrNetParams:
         params += [self.attn_w, self.attn_v, self.start_input, self.stop_key]
         return params
 
-    def encode_sentences(self, graph, words, lengths):
+    def encode_sentences(self, graph, words, lengths, ids):
         """One vector per sentence, as the rows of one matrix.
 
-        words holds every word embedding, one row each, and sentence s is
-        the next lengths[s] rows.
+        words holds every word embedding, one row each, looked up from the
+        embedding rows ids, and sentence s is the next lengths[s] rows.
         """
         if self.encoder.kind == "cbow":
             return cbow_vectors(graph, words, lengths)
         if self.encoder.kind == "cnn":
             return cnn_vectors(graph, words, lengths, self.cnn_filters)
-        return lstm_vectors(graph, words, lengths, self.word_cell)
+        return lstm_vectors(graph, words, lengths, self.word_cell, ids)
 
 
 @dataclass
@@ -161,7 +161,9 @@ def encode_batch(graph, documents, params):
 
     documents is a list of documents, each a list of sentences of token
     ids, read in their given order.  One embedding lookup covers every word
-    and each encoder is one op over all sentences of the batch.
+    and each encoder is one op over all sentences of the batch; the lstm
+    encoder gets the word ids with the embeddings, so it projects each
+    distinct word once.  The word and context LSTMs start from zero states.
     """
     if not documents:
         raise EmptyInputError("cannot encode an empty batch")
@@ -174,7 +176,7 @@ def encode_batch(graph, documents, params):
     ids = np.fromiter((t for sentence in sentences for t in sentence), dtype=np.intp,
                       count=int(sentence_lengths.sum()))
     words = graph.lookup(params.embeddings, ids)
-    vectors = params.encode_sentences(graph, words, sentence_lengths)
+    vectors = params.encode_sentences(graph, words, sentence_lengths, ids)
     doc_lengths = np.array([len(doc) for doc in documents])
     context, final_h, final_c = lstm_run(graph, vectors, doc_lengths, params.context_cell)
     return BatchEncoding(words, sentence_lengths, vectors, doc_lengths,
@@ -261,7 +263,8 @@ def batch_log_probs(graph, documents, targets, params):
     The whole batch is one graph: encode_batch, the decoder LSTM over
     every document's teacher-forced inputs (START, then the vector of each
     target sentence but the last) as one lstm_sequence op from the context
-    LSTM's final states, and one pointer_log_probs op for every step.
+    LSTM's final states, projecting each distinct input row once, and one
+    pointer_log_probs op for every step.
     """
     if len(documents) != len(targets):
         raise InvalidOrderError(f"{len(documents)} documents but {len(targets)} targets")
@@ -277,7 +280,8 @@ def batch_log_probs(graph, documents, targets, params):
         dtype=np.intp, count=sum(len(target) for target in targets))
     queries, _, _ = graph.lstm_sequence(
         graph.lookup(inputs, input_rows), [len(target) for target in targets],
-        batch.final_h, batch.final_c, params.decoder_cell.w, params.decoder_cell.b)
+        batch.final_h, batch.final_c, params.decoder_cell.w, params.decoder_cell.b,
+        index=input_rows)
 
     # Key row n_sentences is the stop key, the last slot of a document
     # decoded in variable-length mode.

@@ -63,6 +63,33 @@ def random_sentences(rng, vocab_size, n_sentences, max_words=4):
     ]
 
 
+class ProductLog(np.ndarray):
+    """A view of a weight matrix that logs every matrix product taken with it.
+
+    Each product with the matrix or any view of it (a block of rows, the
+    transpose) appends the shapes of its two operands to the shared list
+    `products`; the product itself is the plain ndarray one.
+    """
+
+    def __array_finalize__(self, obj):
+        self.products = getattr(obj, "products", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(a) if isinstance(a, ProductLog) else a for a in inputs]
+        if ufunc is np.matmul:
+            self.products.append((plain[0].shape, plain[1].shape))
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(a) for a in kwargs["out"])
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def log_products(weight):
+    """Replace a weight tensor's value by a ProductLog view; returns its list."""
+    weight.value = weight.value.view(ProductLog)
+    weight.value.products = []
+    return weight.value.products
+
+
 # ---------------------------------------------------------------------------
 # reference forward pass (flat numpy, no graph)
 # ---------------------------------------------------------------------------
@@ -87,17 +114,24 @@ def ref_lstm_update(pre, c_prev):
     return gate_out * np.tanh(c), c
 
 
-def stepwise_lstm_sequence(graph, x, lengths, h0, c0, w, b, keep_hidden=True):
+def stepwise_lstm_sequence(graph, x, lengths, h0, c0, w, b, keep_hidden=True, index=None):
     """Graph.lstm_sequence as a chain of encoders.lstm_step calls, one row
     at a time: the unfused reference for the op.
 
-    Has the op's signature, so a test can swap it in for the method.
+    Has the op's signature, so a test can swap it in for the method.  Every
+    row is projected on its own, so index is not read; h0 and c0 of None
+    start each sequence from zero vectors, which are multiplied like any
+    other state.
     """
-    cell = LstmCell(w, b, h0.shape[1])
+    d = w.shape[1] // 4
+    cell = LstmCell(w, b, d)
     hidden, final_h, final_c = [], [], []
     start = 0
     for s, length in enumerate(lengths):
-        h, c = graph.lookup(h0, s), graph.lookup(c0, s)
+        if h0 is None:
+            h, c = Tensor(np.zeros(d)), Tensor(np.zeros(d))
+        else:
+            h, c = graph.lookup(h0, s), graph.lookup(c0, s)
         for t in range(length):
             h, c = lstm_step(graph, graph.lookup(x, start + t), h, c, cell)
             hidden.append(h)

@@ -31,7 +31,7 @@ from ordernet.decoding import (
 from ordernet.encoders import EncoderConfig
 from ordernet.errors import IndexRangeError, InvalidOrderError, ShapeError
 from ordernet.metrics import pm_scores
-from ordernet.model import Order, PtrNetParams
+from ordernet.model import START, Order, PtrNetParams
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,60 @@ def test_each_level_multiplies_each_distinct_parent_once(monkeypatch):
         assert decoder.hidden_w.rows == [parents for parents, _ in levels]
         shared += any(parents < children for parents, children in levels)
     assert shared, "no level gave a parent more than one surviving child"
+
+
+class TiedStepDecoder:
+    """A stand-in BatchDecoder whose state rows are the positions read so
+    far and whose step log-probabilities are whole numbers, so that many
+    children tie exactly."""
+
+    def __init__(self, n):
+        self.n = self.slots = n
+        self.initial = ((), None)
+
+    def advance(self, hidden, cell, parents, chosen):
+        return [() if c == START else hidden[p] + (c,) for p, c in zip(parents, chosen)], None
+
+    def log_probs(self, hidden, visible):
+        step = np.full((len(hidden), self.slots), -np.inf)
+        for r, slot in zip(*visible):
+            step[r, slot] = self.step(hidden[r], slot)
+        return step
+
+    @staticmethod
+    def step(positions, slot):
+        return -1.0 if (slot + len(positions)) % 3 == 0 else -2.0
+
+
+def _uncut_beam(n, step, beam_size):
+    """Fixed-length beam search that sorts every expansion of every level;
+    a last free position is taken at an unchanged score."""
+    beam = [(0.0, ())]
+    while any(len(positions) < n for _, positions in beam):
+        expansions = [e for e in beam if len(e[1]) == n]
+        for score, positions in beam:
+            if len(positions) < n:
+                free = [slot for slot in range(n) if slot not in positions]
+                expansions += [(score + (step(positions, slot) if len(free) > 1 else 0.0),
+                                positions + (slot,)) for slot in free]
+        expansions.sort(key=lambda e: (-e[0], e[1]))
+        beam = expansions[:beam_size]
+    return beam
+
+
+def test_the_top_k_cut_keeps_every_child_tied_at_the_cut():
+    # Whole-number step scores put more than beam_size children on the
+    # beam_size-th best score; each must reach the exact sort, which picks
+    # among them by key as a search that sorts everything does.
+    for n in (3, 5, 6):
+        decoder = TiedStepDecoder(n)
+        for beam_size in (1, 2, 3, 5):
+            best, beam = beam_decode([[1]] * n, None, beam_size, False, decoder=decoder)
+            want = _uncut_beam(n, TiedStepDecoder.step, beam_size)
+            assert [(o.positions, o.log_prob) for o in beam] == [(p, s) for s, p in want]
+            assert best == beam[0]
+    first_level = sorted((TiedStepDecoder.step((), slot) for slot in range(6)), reverse=True)
+    assert first_level.count(first_level[2]) > 3  # n = 6, beam 3: four children on the cut
 
 
 def test_search_never_builds_per_word_row_views(monkeypatch):

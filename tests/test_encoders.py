@@ -6,7 +6,13 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import composed_cnn_vector, ref_lstm_step, ref_lstm_update, stepwise_lstm_sequence
+from helpers import (
+    composed_cnn_vector,
+    log_products,
+    ref_lstm_step,
+    ref_lstm_update,
+    stepwise_lstm_sequence,
+)
 
 from ordernet.autodiff import Graph, Param, Tensor, grad_check
 from ordernet.encoders import (
@@ -150,6 +156,50 @@ def test_lstm_sequence_matches_a_chain_of_lstm_steps():
     assert worst <= 1e-12, f"lstm_sequence differs from the chain by {worst:.3e}"
 
 
+def _run_from_zero(seed, explicit):
+    """A random ragged batch from zero states, passed as zero tensors when
+    explicit and as None otherwise.  Returns the values, the gradients of x,
+    w and b, and the operand shapes of every product with w."""
+    rng = np.random.default_rng(seed)
+    k, d, rows = int(rng.integers(1, 6)), int(rng.integers(6, 9)), int(rng.integers(1, 6))
+    lengths = rng.integers(1, 7, size=rows)
+    keep_hidden = seed % 3 != 2
+    cell = LstmCell.create("c", k, d, rng)
+    cell.w.value[...] = rng.normal(scale=0.7, size=cell.w.value.shape)
+    cell.b.value[...] = rng.normal(size=cell.b.value.shape)
+    products = log_products(cell.w)
+    x = Param("x", rng.normal(size=(int(lengths.sum()), k)))
+    h0, c0 = (Param(name, np.zeros((rows, d))) for name in ("h0", "c0"))
+    g = Graph()
+    hidden, final_h, final_c = g.lstm_sequence(
+        x, lengths, h0 if explicit else None, c0 if explicit else None, cell.w, cell.b,
+        keep_hidden)
+    outputs = [final_h, final_c] + ([hidden] if keep_hidden else [])
+    total = None
+    for out in outputs:
+        term = g.sum(g.mul(out, Tensor(rng.normal(size=out.shape))))
+        total = term if total is None else g.add(total, term)
+    g.backward(total)
+    arrays = [out.value for out in outputs] + [x.grad, cell.w.grad, cell.b.grad]
+    return arrays, products, (k, d, int(lengths.max()))
+
+
+def test_a_zero_start_equals_explicit_zero_states_without_the_first_product():
+    # With no initial state the first step adds no h0 @ W_h and backward
+    # forms no d_pre @ W_h^T for it; every value and gradient keeps its bits.
+    for trial in range(24):
+        explicit, explicit_products, (k, d, steps) = _run_from_zero(trial, True)
+        free, free_products, _ = _run_from_zero(trial, False)
+        assert len(explicit) == len(free)
+        for a, b in zip(explicit, free):
+            assert np.array_equal(a, b), trial
+        for products, skipped in ((explicit_products, 0), (free_products, 1)):
+            forward = [shapes for shapes in products if shapes[1] == (d, 4 * d)]
+            backward = [shapes for shapes in products if shapes[1] == (4 * d, d)]
+            assert len(forward) == len(backward) == steps - skipped, trial
+            assert sum(shapes[1] == (k, 4 * d) for shapes in products) == 1
+
+
 def test_lstm_sequence_rejects_bad_shapes_and_empty_sequences():
     cell = LstmCell.create("c", 3, 2, np.random.default_rng(0))
     g = Graph()
@@ -167,6 +217,10 @@ def test_lstm_sequence_rejects_bad_shapes_and_empty_sequences():
         g.lstm_sequence(x, [1, 1], state, Tensor(np.zeros((2, 3))), cell.w, cell.b)
     with pytest.raises(ShapeError):
         g.lstm_sequence(x, [1, 1], state, state, cell.w, Tensor(np.zeros(7)))
+    with pytest.raises(ShapeError):  # both states or neither
+        g.lstm_sequence(x, [1, 1], state, None, cell.w, cell.b)
+    with pytest.raises(ShapeError):  # one index entry per input row
+        g.lstm_sequence(x, [1, 1], None, None, cell.w, cell.b, index=[3])
     with pytest.raises(EmptyInputError):
         g.lstm_sequence(x, [2, 0], state, state, cell.w, cell.b)
     with pytest.raises(EmptyInputError):

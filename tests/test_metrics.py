@@ -9,6 +9,8 @@ from helpers import brute_lcs_length
 
 from ordernet.errors import EmptyInputError
 from ordernet.metrics import (
+    PRF,
+    MetricsReport,
     aggregate,
     head_tail,
     lcs_length,
@@ -154,6 +156,33 @@ def test_aggregate_macro_averages_then_takes_f():
     assert (s1.f + s2.f) / 2 == pytest.approx(0.75, abs=1e-12)
     assert report.pmr == 0.5
     assert report.count == 2
+
+
+def test_aggregate_equals_the_report_built_from_the_public_scores():
+    # aggregate computes each pair's LCS once for both scores; the report
+    # must equal the one summed from pm_scores and lsr_scores, bit for bit.
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        pairs = []
+        for _ in range(int(rng.integers(1, 9))):
+            gold = [int(g) for g in rng.permutation(int(rng.integers(1, 8)))]
+            kept = int(rng.integers(0, len(gold) + 1))
+            pairs.append((tuple(int(p) for p in rng.permutation(len(gold))[:kept]), gold))
+        n = len(pairs)
+        pm = [pm_scores(pred, gold) for pred, gold in pairs]
+        lsr = [lsr_scores(pred, gold) for pred, gold in pairs]
+        pm_p, pm_r = sum(s.p for s in pm) / n, sum(s.r for s in pm) / n
+        lsr_p, lsr_r = sum(s.p for s in lsr) / n, sum(s.r for s in lsr) / n
+
+        def f(p, r):
+            return 2.0 * p * r / (p + r) if p + r else 0.0
+
+        ends = [head_tail(pred, gold) for pred, gold in pairs]
+        want = MetricsReport(
+            pm=PRF(pm_p, pm_r, f(pm_p, pm_r)), lsr=PRF(lsr_p, lsr_r, f(lsr_p, lsr_r)),
+            pmr=sum(pmr(pred, gold) for pred, gold in pairs) / n,
+            head=sum(h for h, _ in ends) / n, tail=sum(t for _, t in ends) / n, count=n)
+        assert aggregate(pairs) == want, trial
 
 
 def test_aggregate_report_round_trips_to_dict_and_text():

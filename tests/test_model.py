@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     TINY_DIMS,
+    log_products,
     overwrite_well_scaled,
     random_sentences,
     ref_batch_loss,
@@ -20,7 +21,7 @@ from helpers import (
     tiny_params,
 )
 
-from ordernet.autodiff import Graph
+from ordernet.autodiff import Graph, Tensor
 from ordernet.corpus import Document, build_instances, build_vocab, tokenize
 from ordernet.encoders import EncoderConfig
 from ordernet.errors import EmptyInputError, IndexRangeError, InvalidOrderError, NumericError
@@ -31,6 +32,7 @@ from ordernet.model import (
     batch_log_probs,
     batch_loss,
     decode_step,
+    encode_batch,
     encode_document,
     saliency,
     sequence_log_prob,
@@ -295,6 +297,87 @@ def test_batch_loss_and_every_gradient_match_the_per_document_loop(kind):
     params = PtrNetParams.create(config, 64, 60, seed=5)
     worst = max(worst, _batch_against_loop(params, _ragged_instances(rng, 60, count=24), 1e-5))
     assert worst <= 1e-9, f"{kind}: batch differs from the loop by {worst:.3e}"
+
+
+def _encoding_and_gradients(params, instances):
+    """Every encode_batch output, the word rows' gradients, the batch
+    log-probabilities and every parameter gradient, from one recording graph."""
+    for p in params.all_params():
+        p.zero_grad()
+    rng = np.random.default_rng(0)
+    graph = Graph()
+    documents = [inst.inputs for inst in instances]
+    batch = encode_batch(graph, documents, params)
+    log_probs = batch_log_probs(graph, documents, [inst.target for inst in instances], params)
+    total = graph.sum(log_probs)
+    outputs = (batch.sentences, batch.context, batch.final_h, batch.final_c)
+    for out in outputs:
+        total = graph.add(total, graph.sum(graph.mul(out, Tensor(rng.normal(size=out.shape)))))
+    graph.backward(total)
+    arrays = [out.value for out in outputs] + [log_probs.value, batch.words.grad]
+    return [a.copy() for a in arrays] + [p.grad.copy() for p in params.all_params()]
+
+
+def _projected_per_row(lstm_sequence):
+    """Graph.lstm_sequence with its index dropped: one projection per input row."""
+    def per_row(self, x, lengths, h0, c0, w, b, keep_hidden=True, index=None):
+        return lstm_sequence(self, x, lengths, h0, c0, w, b, keep_hidden)
+    return per_row
+
+
+@pytest.mark.parametrize("kind", ["cbow", "cnn", "lstm"])
+def test_one_projection_per_distinct_input_keeps_every_bit(kind, monkeypatch):
+    # The word LSTM projects each distinct word id once and the decoder
+    # each distinct teacher-forced input once; gathering a row of a GEMM
+    # gives the bits of the same row in a taller GEMM.  A batch of one
+    # distinct word projects one row, which numpy hands to gemv: that
+    # product may round differently, so it is held to 1e-15 instead.
+    rng = np.random.default_rng({"cbow": 40, "cnn": 41, "lstm": 42}[kind])
+    wide = EncoderConfig(kind=kind, embed_dim=40, filter_lengths=(2, 3),
+                         feature_maps=64, recurrent_dim=64)
+    distinct = iter(range(1, 60))
+    all_distinct = [SimpleNamespace(inputs=[[next(distinct) for _ in range(k)]
+                                            for k in (3, 1, 4)], target=[2, 0, 1])
+                    for _ in range(3)]
+    one_word = [SimpleNamespace(inputs=[[7] * k for k in (2, 5, 1, 3)], target=[1, 3, 0, 2, 4]),
+                SimpleNamespace(inputs=[[7] * k for k in (4, 2)], target=[1, 0])]
+    batches = [(tiny_params(kind, seed=43, vocab_size=30), _ragged_instances(rng, 30, count=7)),
+               (PtrNetParams.create(wide, 64, 60, seed=44), _ragged_instances(rng, 60, count=9)),
+               (tiny_params(kind, seed=45, vocab_size=60), all_distinct),
+               (tiny_params(kind, seed=46, vocab_size=30), one_word)]
+    for b, (params, instances) in enumerate(batches):
+        overwrite_well_scaled(params, seed=47 + b)
+        indexed = _encoding_and_gradients(params, instances)
+        with monkeypatch.context() as patch:
+            patch.setattr(Graph, "lstm_sequence", _projected_per_row(Graph.lstm_sequence))
+            per_row = _encoding_and_gradients(params, instances)
+        assert len(indexed) == len(per_row)
+        for got, want in zip(indexed, per_row):
+            if instances is one_word:
+                assert np.max(np.abs(got - want)) <= 1e-15 * max(np.abs(want).max(), 1.0)
+            else:
+                assert np.array_equal(got, want), b
+
+
+def test_the_word_and_decoder_lstms_project_each_distinct_input_once():
+    rng = np.random.default_rng(48)
+    k, d = TINY_DIMS["embed_dim"], TINY_DIMS["recurrent_dim"]
+    for trial in range(8):
+        params = tiny_params("lstm", seed=49 + trial)
+        word_products = log_products(params.word_cell.w)
+        decoder_products = log_products(params.decoder_cell.w)
+        instances = _ragged_instances(rng, 12, count=1 + trial)
+        documents = [inst.inputs for inst in instances]
+        graph = Graph()
+        graph.backward(graph.sum(batch_log_probs(
+            graph, documents, [inst.target for inst in instances], params)))
+        ids = {t for doc in documents for sentence in doc for t in sentence}
+        # Forward input projections only: backward multiplies by W_x^T.
+        assert [left[0] for left, right in word_products if right == (k, 4 * d)] == [len(ids)]
+        inputs = {(b, p) for b, inst in enumerate(instances) for p in inst.target[:-1]}
+        decoder_inputs = [left[0] for left, right in decoder_products
+                          if right == (d, 4 * params.hidden_dim)]
+        assert decoder_inputs == [1 + len(inputs)]
 
 
 def test_batch_loss_names_the_document_whose_log_probability_is_not_finite():

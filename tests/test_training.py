@@ -381,6 +381,22 @@ def test_evaluate_scores_every_instance():
     assert 0.0 <= report.pmr <= 1.0
 
 
+def test_decoding_with_a_nan_weight_raises_instead_of_scoring_nan():
+    # A NaN logit would sort last and could empty a beam; every search
+    # fails loudly instead.
+    model, docs = tiny_model()
+    instances = build_instances(docs[:3], model.vocab, model.config.seed, 0)
+    model.params.attn_v.value[0] = np.nan
+    sentences = instances[0].inputs
+    with pytest.raises(NumericError):
+        decoding.greedy_decode(sentences, model.params)
+    with pytest.raises(NumericError):
+        decoding.beam_decode(sentences, model.params, 4, True)
+    for strategy in ("greedy", "beam"):
+        with pytest.raises(NumericError):
+            evaluate(model, instances, strategy, beam_size=4)
+
+
 def test_evaluate_rejects_a_fixed_length_order_that_is_no_permutation(monkeypatch):
     model, docs = tiny_model()
     instances = build_instances(docs[:2], model.vocab, model.config.seed, 0)
