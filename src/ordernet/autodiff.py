@@ -179,6 +179,17 @@ def _window_rows(lengths, offsets, width, pad_row):
     return index, segment, start
 
 
+def _scatter_add_rows(rows, values, count):
+    """A (count, width) array whose row r sums the rows of values that rows
+    sends to r, in their input order, starting from zero: bit-equal to
+    np.add.at(np.zeros((count, width)), rows, values).  Adding the result to
+    an array that already holds nonzero entries rounds as g + (v1 + v2)
+    rather than np.add.at's (g + v1) + v2."""
+    width = values.shape[1]
+    flat = (rows[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, values.reshape(-1), count * width).reshape(count, width)
+
+
 class Graph:
     """Tape of primitive applications supporting one-call reverse sweeps.
 
@@ -419,7 +430,8 @@ class Graph:
         over its windows, ties going to the earliest window.  Returns an
         (S, sum of F) matrix with one block of columns per filter, in
         order.  backward() rebuilds the window matrices from x instead of
-        storing them.
+        storing them, and adds their gradient back into x's rows one window
+        column at a time.
         """
         xv = x.value
         if xv.ndim != 2:
@@ -457,8 +469,12 @@ class Graph:
                 np.put_along_axis(d_features, winner, d_pre, axis=0)
                 windows = x_padded[index].reshape(len(index), width * k)
                 w.grad += windows.T @ d_features
-                d_windows = d_features @ w.value.T
-                np.add.at(x_grad, index, d_windows.reshape(len(index), width, k))
+                d_windows = (d_features @ w.value.T).reshape(len(index), width, k)
+                # Column i holds distinct rows but for the pad row, which is
+                # dropped; a row's windows take it as columns width - 1 down
+                # to 0, so this sweep adds in np.add.at's order.
+                for i in range(width - 1, -1, -1):
+                    x_grad[index[:, i]] += d_windows[:, i]
                 lo = hi
             x.grad += x_grad[:n]
 
@@ -468,7 +484,8 @@ class Graph:
         """Teacher-forced log-likelihood of a batch of pointer sequences, as one op.
 
         Row b of the batch chooses among the slots slots[b] (row indices
-        into the (K, h) keys, padded with -1 after the row's last slot);
+        into the (K, h) keys, padded with -1 after the row's last slot; a
+        -1 before a real slot, or any entry below -1, is an error);
         targets[b] lists the slot chosen at each step (padded with -1
         after the row's last step).  queries holds one (Q, h) row per step,
         row b's steps one after another following row b - 1's.  At a step
@@ -479,7 +496,10 @@ class Graph:
 
         Keys and queries are each projected by one GEMM; the steps run one
         at a time over a (B, slots, h) array, and backward() recomputes
-        its tanh instead of storing it.
+        its tanh instead of storing it.  backward() sums the gradients of
+        the slots that share a key row (the stop key of every variable-length
+        row, say) with one bincount, each key's slots in row order, as
+        np.add.at into a zero array would.
         """
         kv, qv, wv, vv = keys.value, queries.value, w.value, v.value
         slots = np.asarray(slots, dtype=np.intp)
@@ -497,8 +517,10 @@ class Graph:
         if steps.sum() != qv.shape[0]:
             raise ShapeError(f"pointer_log_probs: {int(steps.sum())} steps but "
                              f"{qv.shape[0]} queries")
-        if np.any(slots >= kv.shape[0]):
+        if np.any(slots >= kv.shape[0]) or np.any(slots < -1):
             raise IndexRangeError(f"pointer_log_probs slot outside {kv.shape[0]} keys")
+        if np.any(present[:, 1:] & ~present[:, :-1]):
+            raise IndexRangeError("pointer_log_probs slots must come before the -1 padding")
         for b, (row_slots, row_targets) in enumerate(zip(present.sum(axis=1), targets)):
             chosen = row_targets[:steps[b]]
             if (chosen.size == 0 or chosen.min() < 0 or chosen.max() >= row_slots
@@ -538,8 +560,7 @@ class Graph:
                 d_in = d_logits[:, :, None] * vv * (1.0 - act * act)
                 d_key_proj[rows] += d_in
                 d_query_proj[query_rows] = d_in.sum(axis=1)
-            d_keys = np.zeros(kv.shape)
-            np.add.at(d_keys, slots[present], d_key_proj[present])
+            d_keys = _scatter_add_rows(slots[present], d_key_proj[present], kv.shape[0])
             w.grad[:h] += kv.T @ d_keys
             keys.grad += d_keys @ wv[:h].T
             w.grad[h:] += qv.T @ d_query_proj
@@ -694,7 +715,12 @@ class Graph:
     def lookup(self, table, index):
         """Rows of a table: an int index gives one row (a vector), a 1-d
         array of indices a matrix of those rows.  The gradient of each row
-        accumulates into the table row it came from."""
+        accumulates into the table row it came from: one bincount sums the
+        rows per table row in index order, then adds the sums to the
+        table's gradient.  From a zero table gradient (an op output's, or a
+        parameter's in training, which resets them after each step) that is
+        bit-equal to np.add.at; onto a nonzero one it rounds as
+        g + (v1 + v2) instead of (g + v1) + v2."""
         if table.value.ndim != 2:
             raise ShapeError(f"lookup expects a matrix table, got {table.shape}")
         scalar = np.ndim(index) == 0
@@ -710,7 +736,7 @@ class Graph:
             if scalar:
                 table.grad[index] += out.grad
             else:
-                np.add.at(table.grad, index, out.grad)
+                table.grad += _scatter_add_rows(index, out.grad, rows)
 
         return self._emit(out, backward_fn)
 

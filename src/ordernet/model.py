@@ -11,9 +11,11 @@ so emitted orders can never repeat a position.
 The loss is defined once, for a whole minibatch on one graph:
 batch_log_probs encodes every document, runs the teacher-forced decoder of
 all of them as one LSTM op and scores every pointing step with one
-attention op.  sequence_log_prob and encode_document are its one-document
-cases.  For saliency, advance_decoder and decode_step step a single decoder
-state; they are compositions of Graph primitives (the decoder LSTM step is
+attention op, except a forced last step (one visible slot, log-probability
+exactly 0), which it neither runs nor scores.  sequence_log_prob and
+encode_document are its one-document cases.  For saliency,
+advance_decoder and decode_step step a single decoder state; they are
+compositions of Graph primitives (the decoder LSTM step is
 encoders.lstm_step), with no fused per-step op.
 """
 
@@ -262,24 +264,33 @@ def batch_log_probs(graph, documents, targets, params):
     includes the stop step and puts that document in variable-length mode.
     The whole batch is one graph: encode_batch, the decoder LSTM over
     every document's teacher-forced inputs (START, then the vector of each
-    target sentence but the last) as one lstm_sequence op from the context
-    LSTM's final states, projecting each distinct input row once, and one
-    pointer_log_probs op for every step.
+    scored target sentence but the last) as one lstm_sequence op from the
+    context LSTM's final states, projecting each distinct input row once,
+    and one pointer_log_probs op for every scored step.
+
+    A target's last step is not scored when it is forced: when the target
+    is as long as the document has slots (n in fixed-length mode, n + 1
+    for a permutation followed by the stop), the last step has one visible
+    slot, so its log-probability is exactly 0 and its gradient exactly
+    zero.  A fixed-length document of n > 1 sentences thus runs n - 1
+    decoder and pointer steps; a one-step target keeps its step.
     """
     if len(documents) != len(targets):
         raise InvalidOrderError(f"{len(documents)} documents but {len(targets)} targets")
     allow_stop = [validate_target(target, len(doc)) for doc, target in zip(documents, targets)]
+    scored = [target[:-1] if 1 < len(target) == len(doc) + stop else target
+              for doc, target, stop in zip(documents, targets, allow_stop)]
     batch = encode_batch(graph, documents, params)
     n_sentences = len(batch.sentence_lengths)
 
     # Row 0 of the decoder's input table is START, row 1 + i sentence i.
     inputs = graph.stack_rows([params.start_input, batch.sentences])
     input_rows = np.fromiter(
-        (row for offset, target in zip(batch.doc_offsets, targets)
+        (row for offset, target in zip(batch.doc_offsets, scored)
          for row in [0] + [1 + offset + p for p in target[:-1]]),
-        dtype=np.intp, count=sum(len(target) for target in targets))
+        dtype=np.intp, count=sum(len(target) for target in scored))
     queries, _, _ = graph.lstm_sequence(
-        graph.lookup(inputs, input_rows), [len(target) for target in targets],
+        graph.lookup(inputs, input_rows), [len(target) for target in scored],
         batch.final_h, batch.final_c, params.decoder_cell.w, params.decoder_cell.b,
         index=input_rows)
 
@@ -287,8 +298,8 @@ def batch_log_probs(graph, documents, targets, params):
     # decoded in variable-length mode.
     keys = graph.stack_rows([batch.context, params.stop_key])
     slots = np.full((len(documents), batch.doc_lengths.max() + 1), -1)
-    steps = np.full((len(documents), max(len(target) for target in targets)), -1)
-    for b, (offset, n, target) in enumerate(zip(batch.doc_offsets, batch.doc_lengths, targets)):
+    steps = np.full((len(documents), max(len(target) for target in scored)), -1)
+    for b, (offset, n, target) in enumerate(zip(batch.doc_offsets, batch.doc_lengths, scored)):
         slots[b, :n] = np.arange(offset, offset + n)
         if allow_stop[b]:
             slots[b, n] = n_sentences

@@ -63,6 +63,15 @@ def random_sentences(rng, vocab_size, n_sentences, max_words=4):
     ]
 
 
+def scored_steps(n_inputs, target):
+    """The steps of a target that batch_log_probs scores: every step but a
+    forced last one, which a target as long as the document has slots (n,
+    or n + 1 ending in the stop) takes; a one-step target keeps its step."""
+    target = list(target)
+    slots = n_inputs + (target[-1] == n_inputs)
+    return target[:-1] if 1 < len(target) == slots else target
+
+
 class ProductLog(np.ndarray):
     """A view of a weight matrix that logs every matrix product taken with it.
 

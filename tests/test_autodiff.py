@@ -239,6 +239,116 @@ def test_lookup_gradients_accumulate_per_row():
     assert np.array_equal(table.grad, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
 
 
+def test_lookup_rows_scatter_as_add_at_from_a_zero_gradient():
+    rng = np.random.default_rng(70)
+    index = [2, 0, 2, 2, 4, 0, 2]
+    weights = rng.normal(size=(len(index), 3))
+    table = Tensor(rng.normal(size=(5, 3)))
+    g = Graph()
+    g.backward(_weighted_sum(g, g.lookup(table, index), weights))
+    want = np.zeros((5, 3))
+    np.add.at(want, index, weights)
+    assert np.array_equal(table.grad, want)
+    # Onto a gradient already held, the rows' sum is added once.
+    held = rng.normal(size=(5, 3))
+    table.grad[...] = held
+    g = Graph()
+    g.backward(_weighted_sum(g, g.lookup(table, index), weights))
+    assert np.allclose(table.grad, held + want, rtol=1e-15, atol=0.0)
+
+
+def _windows(lengths, width, pad_row):
+    """(segment, rows) of every width-long window of each segment, in
+    order; a segment shorter than the width is one window ending in pad_row."""
+    windows, offset = [], 0
+    for s, length in enumerate(lengths):
+        starts = range(max(length - width, 0) + 1)
+        windows += [(s, [offset + j + i if j + i < length else pad_row for i in range(width)])
+                    for j in starts]
+        offset += length
+    return windows
+
+
+def _conv_max_input_gradient_by_add_at(xv, lengths, filters, out, weights):
+    """conv_max's input gradient rebuilt from its output, scattered by one
+    np.add.at over every window of each filter in turn."""
+    n, k = xv.shape
+    x_padded = np.vstack([xv, np.zeros((1, k))])
+    x_grad = np.zeros_like(x_padded)
+    lo = 0
+    for width, w, b in filters:
+        windows = _windows(lengths, width, n)
+        segment = np.array([s for s, _ in windows])
+        index = np.array([rows for _, rows in windows])
+        features = np.tanh(x_padded[index].reshape(len(index), width * k) @ w.value + b.value)
+        hi = lo + features.shape[1]
+        d_pre = weights[:, lo:hi] * (1.0 - out[:, lo:hi] ** 2)
+        d_features = np.zeros_like(features)
+        columns = np.arange(features.shape[1])
+        for s in range(len(lengths)):
+            mine = np.flatnonzero(segment == s)
+            d_features[mine[np.argmax(features[mine], axis=0)], columns] = d_pre[s]
+        np.add.at(x_grad, index, (d_features @ w.value.T).reshape(len(index), width, k))
+        lo = hi
+    return x_grad[:n]
+
+
+def test_conv_max_input_gradient_equals_add_at_bit_for_bit():
+    # Widths 1-5 over one-word, short (padded) and long segments.
+    rng = np.random.default_rng(71)
+    k, features = 3, 8
+    for trial in range(6):
+        lengths = [1, int(rng.integers(2, 5)), 1, int(rng.integers(6, 12)),
+                   int(rng.integers(1, 12)), 2]
+        x = Tensor(rng.normal(size=(sum(lengths), k)))
+        filters = [(width, Param(f"w{width}", rng.normal(size=(width * k, features))),
+                    Tensor(rng.normal(size=features))) for width in (1, 2, 3, 4, 5)]
+        weights = rng.normal(size=(len(lengths), 5 * features))
+        g = Graph()
+        out = g.conv_max(x, lengths, filters)
+        g.backward(_weighted_sum(g, out, weights))
+        want = _conv_max_input_gradient_by_add_at(x.value, lengths, filters, out.value, weights)
+        assert np.array_equal(x.grad, want), trial
+
+
+def test_the_shared_stop_key_gradient_is_the_in_order_sum_of_each_row_s():
+    # Three variable-length rows share key 9 as their stop slot.  With the
+    # key half of w the identity, the keys' gradient is the scattered
+    # gradient of the projected keys itself, with no product after it.
+    rng = np.random.default_rng(72)
+    h = 4
+    keys = Tensor(rng.normal(size=(10, h)))
+    attn_w = Tensor(np.vstack([np.eye(h), rng.normal(size=(h, h))]))
+    attn_v = Tensor(rng.normal(size=h))
+    slots = [[0, 1, 2, 9], [3, 4, 5, 9], [6, 7, 8, 9]]
+    targets = [[1, 3, -1, -1], [2, 0, 1, 3], [3, -1, -1, -1]]
+    steps = [2, 4, 1]
+    queries = rng.normal(size=(sum(steps), h))
+    weights = rng.normal(size=3)
+    first = np.cumsum(steps) - steps
+    want = np.zeros(h)
+    for b in range(3):
+        g = Graph()
+        rows = Tensor(queries[first[b]:first[b] + steps[b]])
+        g.backward(_weighted_sum(g, g.pointer_log_probs(
+            keys, [slots[b]], rows, [targets[b]], attn_w, attn_v), weights[b:b + 1]))
+        want += keys.grad[9]
+        keys.zero_grad()
+    g = Graph()
+    g.backward(_weighted_sum(g, g.pointer_log_probs(
+        keys, slots, Tensor(queries), targets, attn_w, attn_v), weights))
+    assert np.array_equal(keys.grad[9], want)
+
+
+@pytest.mark.parametrize("slots", [[[0, -1, 2]], [[0, -2, 2]]])
+def test_pointer_log_probs_rejects_unpacked_or_negative_slots(slots):
+    keys = Tensor(np.ones((3, 2)))
+    queries = Tensor(np.ones((2, 2)))
+    with pytest.raises(IndexRangeError):
+        Graph().pointer_log_probs(keys, slots, queries, [[1, 0]],
+                                  Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
+
+
 def test_max_over_time_ties_route_gradient_to_first_row():
     x = Tensor([[2.0, 1.0], [2.0, 3.0]])  # column 0 ties between rows
     g = Graph()

@@ -17,6 +17,7 @@ from helpers import (
     ref_context,
     ref_log_prob,
     ref_step_probs,
+    scored_steps,
     stepwise_lstm_sequence,
     tiny_params,
 )
@@ -374,10 +375,89 @@ def test_the_word_and_decoder_lstms_project_each_distinct_input_once():
         ids = {t for doc in documents for sentence in doc for t in sentence}
         # Forward input projections only: backward multiplies by W_x^T.
         assert [left[0] for left, right in word_products if right == (k, 4 * d)] == [len(ids)]
-        inputs = {(b, p) for b, inst in enumerate(instances) for p in inst.target[:-1]}
+        # The decoder reads START, then the sentence chosen at each scored
+        # step but the last; a forced last step is not run.
+        inputs = {(b, p) for b, inst in enumerate(instances)
+                  for p in scored_steps(len(inst.inputs), inst.target)[:-1]}
         decoder_inputs = [left[0] for left, right in decoder_products
                           if right == (d, 4 * params.hidden_dim)]
         assert decoder_inputs == [1 + len(inputs)]
+
+
+def _scored_step_counts(monkeypatch, params, documents, targets):
+    """batch_log_probs's values, with the sequence lengths its decoder LSTM
+    ran and the steps its pointer op scored, one entry per document."""
+    seen = {}
+    lstm_sequence, pointer_log_probs = Graph.lstm_sequence, Graph.pointer_log_probs
+
+    def counted_lstm(self, x, lengths, h0, c0, w, b, *args, **kwargs):
+        if w is params.decoder_cell.w:
+            seen["decoder"] = [int(t) for t in lengths]
+        return lstm_sequence(self, x, lengths, h0, c0, w, b, *args, **kwargs)
+
+    def counted_pointer(self, keys, slots, queries, steps, w, v):
+        seen["pointer"] = (np.asarray(steps) >= 0).sum(axis=1).tolist()
+        return pointer_log_probs(self, keys, slots, queries, steps, w, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Graph, "lstm_sequence", counted_lstm)
+        patch.setattr(Graph, "pointer_log_probs", counted_pointer)
+        graph = Graph()
+        log_probs = batch_log_probs(graph, documents, targets, params)
+        graph.backward(graph.sum(log_probs))
+    return log_probs.value, seen["decoder"], seen["pointer"]
+
+
+@pytest.mark.parametrize("kind", ["cbow", "cnn", "lstm"])
+def test_the_forced_last_step_is_neither_run_nor_scored(kind, monkeypatch):
+    rng = np.random.default_rng(60)
+    for trial in range(4):
+        params = tiny_params(kind, seed=61 + trial, vocab_size=30)
+        instances = _ragged_instances(rng, 30, count=3 + trial)
+        documents = [inst.inputs for inst in instances]
+        targets = [inst.target for inst in instances]
+        _, decoder, pointer = _scored_step_counts(monkeypatch, params, documents, targets)
+        want = [len(scored_steps(len(doc), target)) for doc, target in zip(documents, targets)]
+        assert decoder == pointer == want
+        # Fixed-length and permutation-plus-stop targets lose their last step.
+        assert want == [len(target) - (i % 3 != 2) for i, target in enumerate(targets)]
+
+
+def test_which_targets_keep_their_last_step(monkeypatch):
+    params = tiny_params("cbow", seed=62)
+    three = [[1, 2], [3], [4, 5, 6]]
+    cases = [
+        ([[7, 8]], [0], 1),            # one-sentence fixed-length: its only step
+        ([[7, 8]], [1], 1),            # an immediate stop
+        ([[7, 8]], [0, 1], 1),         # the stop after the only sentence is forced
+        (three, [2, 0, 1], 2),         # fixed-length: n - 1 steps
+        (three, [2, 0, 1, 3], 3),      # permutation + stop: n steps
+        (three, [2, 1, 3], 3),         # a noise sentence left out: the stop is scored
+    ]
+    for documents, target, steps in cases:
+        _, decoder, pointer = _scored_step_counts(monkeypatch, params, [documents], [target])
+        assert decoder == pointer == [steps], target
+    values, decoder, pointer = _scored_step_counts(
+        monkeypatch, params, [documents for documents, _, _ in cases],
+        [target for _, target, _ in cases])
+    assert decoder == pointer == [steps for _, _, steps in cases]
+    assert values[0] == 0.0  # a one-sentence document has one order
+
+
+def test_batch_log_probs_without_forced_steps_matches_the_flat_reference():
+    rng = np.random.default_rng(63)
+    worst = 0.0
+    for trial in range(6):
+        kind = ("cbow", "cnn", "lstm")[trial % 3]
+        params = tiny_params(kind, seed=64 + trial, vocab_size=30)
+        instances = _ragged_instances(rng, 30, count=6)
+        instances += [SimpleNamespace(inputs=[[5, 6]], target=[0]),
+                      SimpleNamespace(inputs=[[7]], target=[0, 1])]
+        got = batch_log_probs(Graph(recording=False), [inst.inputs for inst in instances],
+                              [inst.target for inst in instances], params).value
+        want = [ref_log_prob(params, inst.inputs, inst.target) for inst in instances]
+        worst = max(worst, np.max(np.abs(got - want)))
+    assert worst <= 1e-10
 
 
 def test_batch_loss_names_the_document_whose_log_probability_is_not_finite():
