@@ -21,9 +21,11 @@ from .corpus import (
     build_vocab,
     ingest_corpus,
     load_pretrained_embeddings,
+    numbered_lines,
     stable_seed,
 )
 from .decoding import ORACLE_METRICS, beam_decode, oracle_in_beam
+from .encoders import ENCODER_KINDS
 from .errors import ConfigError, OrdernetError
 from .metrics import aggregate
 from .model import saliency
@@ -45,17 +47,16 @@ _PATH_KEYS = ("train", "dev", "test", "input", "embeddings", "checkpoint", "out"
 def parse_config_file(path):
     """Flat `key = value` pairs; `#` starts a comment."""
     entries = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key or not value:
-                raise ConfigError(f"{path}:{lineno}: empty key or value")
-            entries[key] = value
+    for lineno, raw in numbered_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key or not value:
+            raise ConfigError(f"{path}:{lineno}: empty key or value")
+        entries[key] = value
     return entries
 
 
@@ -75,17 +76,13 @@ def resolve_config(args):
                 settings[key] = parse_config_value(key, value)
 
     flag_map = {
-        "seed": "seed", "encoder": "encoder", "beam": "beam_size",
-        "epochs": "epochs", "batch": "batch_size",
+        "seed": "seed", "encoder": "encoder", "beam": "beam_size", "epochs": "epochs",
+        "batch": "batch_size", "noise": "noise_mode", "fixed_length": "fixed_length",
     }
     for flag, key in flag_map.items():
         value = getattr(args, flag, None)
         if value is not None:
-            settings[key] = value
-    if getattr(args, "noise", None) is not None:
-        settings["noise_mode"] = parse_config_value("noise_mode", args.noise)
-    if getattr(args, "fixed_length", None) is not None:
-        settings["fixed_length"] = parse_config_value("fixed_length", args.fixed_length)
+            settings[key] = parse_config_value(key, value)
     for key in _PATH_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -355,7 +352,7 @@ def build_parser():
     # Every subcommand takes only the flags it reads, spelled out in full.
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int)
-    shared.add_argument("--encoder", choices=("cbow", "cnn", "lstm"))
+    shared.add_argument("--encoder", choices=ENCODER_KINDS)
     shared.add_argument("--checkpoint")
     shared.add_argument("--out")
     beam = argparse.ArgumentParser(add_help=False)

@@ -23,6 +23,8 @@ UNK_ID = 1
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
+NOISE_MODES = ("none", "always_one", "half")
+
 _PUNCT_TABLE = str.maketrans({c: f" {c} " for c in string.punctuation})
 
 # Bounded retries when a noise draw keeps hitting the current document.
@@ -40,6 +42,19 @@ def stable_seed(*parts):
         h.update(repr(part).encode("utf-8"))
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "little")
+
+
+def numbered_lines(path):
+    """(line number, line) of each line of a UTF-8 text file; bytes that are
+    not UTF-8 raise FormatError naming the file and the line holding them."""
+    with Path(path).open(encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            with Path(path).open("rb") as raw:  # the first line that loses bytes
+                lineno = next((n for n, line in enumerate(raw, start=1)
+                               if line.decode("utf-8", "ignore").encode("utf-8") != line), "?")
+            raise FormatError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
 
 
 def tokenize(text):
@@ -84,13 +99,12 @@ def ingest_corpus(path):
     path = Path(path)
     groups = []
     current = []
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                current.append(tokenize(line))
-            elif current:
-                groups.append(current)
-                current = []
+    for _, line in numbered_lines(path):
+        if line.strip():
+            current.append(tokenize(line))
+        elif current:
+            groups.append(current)
+            current = []
     if current:
         groups.append(current)
 
@@ -160,24 +174,23 @@ def load_pretrained_embeddings(path, vocab, dim, rng):
     matrix = rng.uniform(-0.1, 0.1, size=(len(vocab), dim))
     matrix[PAD_ID] = 0.0
     found = set()
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise FormatError(
-                    f"{path}:{lineno}: expected {dim} values after the token, got {len(values)}"
-                )
-            token_id = vocab.token_to_id.get(token)
-            if token_id is None or token_id in (PAD_ID, UNK_ID):
-                continue
-            try:
-                matrix[token_id] = [float(v) for v in values]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-numeric embedding value") from exc
-            found.add(token_id)
+    for lineno, line in numbered_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if len(values) != dim:
+            raise FormatError(
+                f"{path}:{lineno}: expected {dim} values after the token, got {len(values)}"
+            )
+        token_id = vocab.token_to_id.get(token)
+        if token_id is None or token_id in (PAD_ID, UNK_ID):
+            continue
+        try:
+            matrix[token_id] = [float(v) for v in values]
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: non-numeric embedding value") from exc
+        found.add(token_id)
     total = len(vocab) - 2
     coverage = len(found) / total if total else 0.0
     return matrix, coverage
@@ -222,12 +235,12 @@ def make_instance(doc, vocab, epoch_seed, noise_mode="none", noise_pool=None,
                   fixed_length=True):
     """Shuffle a document into a training/evaluation instance.
 
-    noise_mode is one of none, always_one, half.  The noise pool is a list of
+    noise_mode is one of NOISE_MODES.  The noise pool is a list of
     (doc_id, sentence tokens) pairs; draws that land on the current document
     are retried a bounded number of times.  Fixed-length mode excludes noise
     and omits the stop marker.
     """
-    if noise_mode not in ("none", "always_one", "half"):
+    if noise_mode not in NOISE_MODES:
         raise CorpusError(f"unknown noise mode {noise_mode!r}")
     if fixed_length and noise_mode != "none":
         raise CorpusError("noise injection requires variable-length mode")

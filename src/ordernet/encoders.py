@@ -1,51 +1,26 @@
 """Sentence encoders: averaged bag of words, convolutional, and recurrent.
 
-Each encoder maps a sentence to a single vector, and runs as one op over
-any number of sentences: the words of every sentence are the rows of one
-matrix, each sentence a run of `lengths[s]` consecutive rows, and the
-sentence vectors come out as the rows of another.  The averaging encoder is
-a segment mean; the convolutional encoder applies tanh feature maps of
-several filter widths and max-pools each over time; the recurrent encoder
-is an LSTM whose final hidden state is the sentence vector.  The *_vector
-functions encode a single sentence given as a list of word tensors.
+Each encoder is one Graph op over the word rows of any number of sentences,
+which model.encode_batch calls directly: Graph.mean_rows (cbow),
+Graph.conv_max (cnn: max-over-time tanh feature maps per filter width) or
+Graph.lstm_sequence (lstm: the final hidden state).  This module holds the
+encoders' parameters, the one-step LSTM composition lstm_step, and the
+*_vector functions, which run the same ops on one sentence given as a list
+of word tensors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .autodiff import Param, row_view
-from .errors import ConfigError, EmptyInputError
+from .errors import EmptyInputError
 
 ENCODER_KINDS = ("cbow", "cnn", "lstm")
 
 WEIGHT_INIT_RANGE = 0.08  # uniform init half-width for non-embedding weights
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    """Dimensions of the sentence encoder family."""
-
-    kind: str = "lstm"
-    embed_dim: int = 100
-    filter_lengths: tuple = (3, 4, 5)
-    feature_maps: int = 128
-    recurrent_dim: int = 200
-
-    def __post_init__(self):
-        if self.kind not in ENCODER_KINDS:
-            raise ConfigError(f"unknown encoder kind {self.kind!r}")
-        object.__setattr__(self, "filter_lengths", tuple(self.filter_lengths))
-
-    @property
-    def output_dim(self):
-        if self.kind == "cbow":
-            return self.embed_dim
-        if self.kind == "cnn":
-            return self.feature_maps * len(self.filter_lengths)
-        return self.recurrent_dim
 
 
 class LstmCell:
@@ -82,25 +57,12 @@ def lstm_step(graph, x, h_prev, c_prev, cell):
     return graph.mul(gate_out, graph.tanh(c)), c
 
 
-def lstm_run(graph, x, lengths, cell, keep_hidden=True, index=None):
-    """Run the cell over each run of rows of x from a zero state, in one op.
+class ConvFilter(NamedTuple):
+    """One filter width of the convolutional encoder, as Graph.conv_max takes it."""
 
-    The zero state is passed as no state at all, so the first step makes no
-    recurrent product and backward forms no gradient of the start state.
-    index is the lookup index the rows of x came from, if any (see
-    Graph.lstm_sequence).  Returns (hidden, final_h, final_c) as
-    Graph.lstm_sequence does.
-    """
-    return graph.lstm_sequence(x, lengths, None, None, cell.w, cell.b, keep_hidden, index)
-
-
-class ConvFilter:
-    """One filter width of the convolutional encoder."""
-
-    def __init__(self, width, w, b):
-        self.width = width
-        self.w = w
-        self.b = b
+    width: int
+    w: Param
+    b: Param
 
     def params(self):
         return [self.w, self.b]
@@ -117,47 +79,26 @@ def create_cnn_filters(name, config, rng):
     return filters
 
 
-def cbow_vectors(graph, words, lengths):
-    """Plain average of each sentence's word vectors."""
-    return graph.mean_rows(words, lengths)
-
-
-def cnn_vectors(graph, words, lengths, filters):
-    """Max-over-time tanh feature maps, one block of columns per filter width.
-
-    Sentences shorter than a filter width are zero-padded up to it, which
-    yields exactly one window for that width.
-    """
-    return graph.conv_max(words, lengths, [(f.width, f.w, f.b) for f in filters])
-
-
-def lstm_vectors(graph, words, lengths, cell, ids=None):
-    """Final hidden state of an LSTM run over each sentence's words.
-
-    ids, when given, are the word ids the rows of words were looked up
-    from; each distinct id's input projection is then computed once.
-    """
-    _, final_h, _ = lstm_run(graph, words, lengths, cell, keep_hidden=False, index=ids)
-    return final_h
-
-
-def _one_sentence(encode, graph, word_vectors, *args):
+def _one_sentence(graph, word_vectors):
     if not word_vectors:
         raise EmptyInputError("cannot encode an empty sentence")
-    words = graph.stack_rows(word_vectors)
-    return row_view(encode(graph, words, [len(word_vectors)], *args), 0)
+    return graph.stack_rows(word_vectors), [len(word_vectors)]
 
 
 def cbow_vector(graph, word_vectors):
-    """cbow_vectors of one sentence given as a list of word tensors."""
-    return _one_sentence(cbow_vectors, graph, word_vectors)
+    """Plain average of one sentence's word vectors."""
+    words, lengths = _one_sentence(graph, word_vectors)
+    return row_view(graph.mean_rows(words, lengths), 0)
 
 
 def cnn_vector(graph, word_vectors, filters):
-    """cnn_vectors of one sentence given as a list of word tensors."""
-    return _one_sentence(cnn_vectors, graph, word_vectors, filters)
+    """Max-over-time tanh feature maps of one sentence, one block per filter width."""
+    words, lengths = _one_sentence(graph, word_vectors)
+    return row_view(graph.conv_max(words, lengths, filters), 0)
 
 
 def lstm_vector(graph, word_vectors, cell):
-    """lstm_vectors of one sentence given as a list of word tensors."""
-    return _one_sentence(lstm_vectors, graph, word_vectors, cell)
+    """Final hidden state of an LSTM run from a zero state over one sentence."""
+    words, lengths = _one_sentence(graph, word_vectors)
+    _, h, _ = graph.lstm_sequence(words, lengths, None, None, cell.w, cell.b, keep_hidden=False)
+    return row_view(h, 0)

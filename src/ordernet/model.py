@@ -8,14 +8,15 @@ with a separate learned key standing in for the stop action when
 variable-length output is enabled.  Already chosen positions are masked out,
 so emitted orders can never repeat a position.
 
-The loss is defined once, for a whole minibatch on one graph:
-batch_log_probs encodes every document, runs the teacher-forced decoder of
-all of them as one LSTM op and scores every pointing step with one
-attention op, except a forced last step (one visible slot, log-probability
-exactly 0), which it neither runs nor scores.  sequence_log_prob and
-encode_document are its one-document cases.  For saliency,
-advance_decoder and decode_step step a single decoder state; they are
-compositions of Graph primitives (the decoder LSTM step is
+encode_batch encodes a batch with one embedding lookup, one sentence-encoder
+op and one context-LSTM op.  The loss is defined once, for a whole
+minibatch on one graph: batch_log_probs encodes every document, runs the
+teacher-forced decoder of all of them as one LSTM op and scores every
+pointing step with one attention op, except a forced last step (one visible
+slot, log-probability exactly 0), which it neither runs nor scores.
+sequence_log_prob and encode_document are its one-document cases.  For
+saliency, advance_decoder and decode_step step a single decoder state; they
+are compositions of Graph primitives (the decoder LSTM step is
 encoders.lstm_step), with no fused per-step op.
 """
 
@@ -27,15 +28,7 @@ import numpy as np
 
 from .autodiff import Graph, Param, Tensor, row_view, single_blas_thread
 from .corpus import stable_seed
-from .encoders import (
-    LstmCell,
-    cbow_vectors,
-    cnn_vectors,
-    create_cnn_filters,
-    lstm_run,
-    lstm_step,
-    lstm_vectors,
-)
+from .encoders import LstmCell, create_cnn_filters, lstm_step
 from .errors import EmptyInputError, IndexRangeError, InvalidOrderError, NumericError
 
 # Not called here (every sentence of a batch is encoded by one op), but
@@ -58,7 +51,7 @@ class Order:
 
 
 class PtrNetParams:
-    """Every trainable tensor of the model, in a fixed creation order."""
+    """Every trainable tensor of the model in a fixed creation order, and its encoder kind."""
 
     def __init__(self, encoder, hidden_dim, embeddings, word_cell, cnn_filters,
                  context_cell, decoder_cell, attn_w, attn_v, start_input, stop_key):
@@ -75,35 +68,35 @@ class PtrNetParams:
         self.stop_key = stop_key
 
     @classmethod
-    def create(cls, encoder, hidden_dim, vocab_size, seed, pretrained=None):
-        """Build freshly initialized parameters.
-
-        Weights are uniform(-0.08, 0.08) except embeddings, which come from
-        `pretrained` when given and uniform(-0.1, 0.1) otherwise, with a zero
-        padding row.  Creation order is fixed so a seed pins every value.
-        """
-        rng = np.random.default_rng(stable_seed(seed, "init"))
+    def create(cls, config, vocab_size, pretrained=None):
+        """Fresh parameters for the encoder kind, sizes, hidden_dim and seed of
+        a training.TrainConfig.  Weights are uniform(-0.08, 0.08) except
+        embeddings, which come from `pretrained` when given and
+        uniform(-0.1, 0.1) otherwise, with a zero padding row.  Creation
+        order is fixed so the seed pins every value."""
+        rng = np.random.default_rng(stable_seed(config.seed, "init"))
         if pretrained is not None:
             emb = np.array(pretrained, dtype=np.float64)
-            if emb.shape != (vocab_size, encoder.embed_dim):
+            if emb.shape != (vocab_size, config.embed_dim):
                 raise IndexRangeError(
                     f"pretrained embeddings {emb.shape} do not match "
-                    f"({vocab_size}, {encoder.embed_dim})")
+                    f"({vocab_size}, {config.embed_dim})")
         else:
             emb = rng.uniform(-EMBED_INIT_RANGE, EMBED_INIT_RANGE,
-                              size=(vocab_size, encoder.embed_dim))
+                              size=(vocab_size, config.embed_dim))
             emb[0] = 0.0
         embeddings = Param("embeddings", emb)
 
         word_cell = None
         cnn_filters = None
-        if encoder.kind == "lstm":
-            word_cell = LstmCell.create("word_lstm", encoder.embed_dim,
-                                        encoder.recurrent_dim, rng)
-        elif encoder.kind == "cnn":
-            cnn_filters = create_cnn_filters("cnn", encoder, rng)
+        if config.encoder == "lstm":
+            word_cell = LstmCell.create("word_lstm", config.embed_dim,
+                                        config.recurrent_dim, rng)
+        elif config.encoder == "cnn":
+            cnn_filters = create_cnn_filters("cnn", config, rng)
 
-        sent_dim = encoder.output_dim
+        hidden_dim = config.hidden_dim
+        sent_dim = config.sentence_dim
         context_cell = LstmCell.create("context_lstm", sent_dim, hidden_dim, rng)
         decoder_cell = LstmCell.create("decoder_lstm", sent_dim, hidden_dim, rng)
         attn_w = Param("attn.w", rng.uniform(
@@ -111,32 +104,19 @@ class PtrNetParams:
         attn_v = Param("attn.v", rng.uniform(-0.08, 0.08, size=hidden_dim))
         start_input = Param("start_input", rng.uniform(-0.08, 0.08, size=sent_dim))
         stop_key = Param("stop_key", rng.uniform(-0.08, 0.08, size=hidden_dim))
-        return cls(encoder, hidden_dim, embeddings, word_cell, cnn_filters,
+        return cls(config.encoder, hidden_dim, embeddings, word_cell, cnn_filters,
                    context_cell, decoder_cell, attn_w, attn_v, start_input, stop_key)
 
     def all_params(self):
         params = [self.embeddings]
         if self.word_cell is not None:
             params += self.word_cell.params()
-        if self.cnn_filters is not None:
-            for f in self.cnn_filters:
-                params += f.params()
+        for f in self.cnn_filters or ():
+            params += f.params()
         params += self.context_cell.params()
         params += self.decoder_cell.params()
         params += [self.attn_w, self.attn_v, self.start_input, self.stop_key]
         return params
-
-    def encode_sentences(self, graph, words, lengths, ids):
-        """One vector per sentence, as the rows of one matrix.
-
-        words holds every word embedding, one row each, looked up from the
-        embedding rows ids, and sentence s is the next lengths[s] rows.
-        """
-        if self.encoder.kind == "cbow":
-            return cbow_vectors(graph, words, lengths)
-        if self.encoder.kind == "cnn":
-            return cnn_vectors(graph, words, lengths, self.cnn_filters)
-        return lstm_vectors(graph, words, lengths, self.word_cell, ids)
 
 
 @dataclass
@@ -163,9 +143,10 @@ def encode_batch(graph, documents, params):
 
     documents is a list of documents, each a list of sentences of token
     ids, read in their given order.  One embedding lookup covers every word
-    and each encoder is one op over all sentences of the batch; the lstm
-    encoder gets the word ids with the embeddings, so it projects each
-    distinct word once.  The word and context LSTMs start from zero states.
+    and the sentence encoder is one op over all sentences of the batch; the
+    lstm encoder gets the word ids with the embeddings, so it projects each
+    distinct word once.  The word and context LSTMs start from zero states,
+    passed to Graph.lstm_sequence as no state at all.
     """
     if not documents:
         raise EmptyInputError("cannot encode an empty batch")
@@ -178,9 +159,18 @@ def encode_batch(graph, documents, params):
     ids = np.fromiter((t for sentence in sentences for t in sentence), dtype=np.intp,
                       count=int(sentence_lengths.sum()))
     words = graph.lookup(params.embeddings, ids)
-    vectors = params.encode_sentences(graph, words, sentence_lengths, ids)
+    if params.encoder == "cbow":
+        vectors = graph.mean_rows(words, sentence_lengths)
+    elif params.encoder == "cnn":
+        vectors = graph.conv_max(words, sentence_lengths, params.cnn_filters)
+    else:
+        cell = params.word_cell
+        _, vectors, _ = graph.lstm_sequence(words, sentence_lengths, None, None, cell.w, cell.b,
+                                            keep_hidden=False, index=ids)
     doc_lengths = np.array([len(doc) for doc in documents])
-    context, final_h, final_c = lstm_run(graph, vectors, doc_lengths, params.context_cell)
+    cell = params.context_cell
+    context, final_h, final_c = graph.lstm_sequence(vectors, doc_lengths, None, None,
+                                                    cell.w, cell.b)
     return BatchEncoding(words, sentence_lengths, vectors, doc_lengths,
                          np.cumsum(doc_lengths) - doc_lengths, context, final_h, final_c)
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .autodiff import Graph, single_blas_thread, squared_norm
-from .corpus import Vocab, build_instances, noise_pool_of, stable_seed
-from .encoders import EncoderConfig
-from .errors import CheckpointError, ConfigError, InvalidOrderError, NumericError
+from .corpus import NOISE_MODES, Vocab, build_instances, noise_pool_of, stable_seed
+from .encoders import ENCODER_KINDS
+from .errors import CheckpointError, ConfigError, CorpusError, InvalidOrderError, NumericError
 from .decoding import BatchDecoder, beam_decode, greedy_decode
 from .metrics import aggregate
 from .model import PtrNetParams, batch_loss
@@ -30,8 +30,6 @@ from .model import PtrNetParams, batch_loss
 from .model import sequence_log_prob  # noqa: F401
 
 CHECKPOINT_FORMAT = "ordernet-checkpoint-v1"
-
-NOISE_MODES = ("none", "always_one", "half")
 
 # Names a config file or flag may give a noise mode.
 _NOISE_ALIASES = {"none": "none", "one": "always_one", "always_one": "always_one",
@@ -52,7 +50,8 @@ def _is_real(value):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyper-parameters; the numeric defaults are the standard table."""
+    """The one description of the model and its training, checked when built;
+    the numeric defaults are the standard table."""
 
     learning_rate: float = 0.5
     reg_lambda: float = 1e-5
@@ -86,19 +85,21 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
         if not (_is_real(self.reg_lambda) and self.reg_lambda >= 0):
             raise ConfigError(f"reg_lambda must be a finite number >= 0, got {self.reg_lambda!r}")
-        if self.noise_mode not in NOISE_MODES:
-            raise ConfigError(f"unknown noise mode {self.noise_mode!r}")
+        for name, choices in (("encoder", ENCODER_KINDS), ("noise_mode", NOISE_MODES)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {', '.join(choices)}, "
+                                  f"got {getattr(self, name)!r}")
         if self.fixed_length and self.noise_mode != "none":
             raise ConfigError("noise injection requires variable-length mode")
 
-    def encoder_config(self):
-        return EncoderConfig(
-            kind=self.encoder,
-            embed_dim=self.embed_dim,
-            filter_lengths=self.filter_lengths,
-            feature_maps=self.feature_maps,
-            recurrent_dim=self.recurrent_dim,
-        )
+    @property
+    def sentence_dim(self):
+        """Width of the sentence vectors the encoder makes."""
+        if self.encoder == "cbow":
+            return self.embed_dim
+        if self.encoder == "cnn":
+            return self.feature_maps * len(self.filter_lengths)
+        return self.recurrent_dim
 
     def to_dict(self):
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -107,6 +108,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config maps keys to values, got {type(d).__name__}")
         return cls(**{key: parse_config_value(key, value) for key, value in d.items()})
 
 
@@ -178,10 +181,7 @@ class Model:
 
     @classmethod
     def create(cls, config, vocab, pretrained=None):
-        params = PtrNetParams.create(
-            config.encoder_config(), config.hidden_dim, len(vocab),
-            config.seed, pretrained)
-        return cls(config, vocab, params)
+        return cls(config, vocab, PtrNetParams.create(config, len(vocab), pretrained))
 
 
 class AdaGradState:
@@ -348,44 +348,53 @@ def checkpoint_save(path, model, opt_state=None, meta=None):
 def checkpoint_load(path):
     """Rebuild (model, opt_state, meta) from a checkpoint file.
 
-    Shape or naming mismatches raise CheckpointError listing the difference.
+    A file that is not a whole checkpoint (truncated, failing a CRC check,
+    with metadata that does not parse or that TrainConfig or Vocab rejects)
+    raises CheckpointError naming it; a parameter mismatch lists the difference.
     """
     try:
         data = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    with data:
-        names = set(data.files)
-        if "meta/format" not in names or str(data["meta/format"]) != CHECKPOINT_FORMAT:
+        if not isinstance(data, np.lib.npyio.NpzFile):
             raise CheckpointError(f"{path} is not a recognized checkpoint")
-        config = TrainConfig.from_dict(json.loads(str(data["meta/config"])))
-        tokens = [str(t) for t in data["meta/vocab"]]
-        meta = json.loads(str(data["meta/extra"]))
-        vocab = Vocab(tokens[2:])
-        model = Model.create(config, vocab)
+        with data:
+            return _read_checkpoint(path, data)
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, ConfigError,
+            CorpusError) as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
-        expected = {f"param/{p.name}": p for p in model.params.all_params()}
-        stored = {n for n in names if n.startswith("param/")}
-        if stored != set(expected):
+
+def _read_checkpoint(path, data):
+    names = set(data.files)
+    if "meta/format" not in names or str(data["meta/format"]) != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path} is not a recognized checkpoint")
+    config = TrainConfig.from_dict(json.loads(str(data["meta/config"])))
+    tokens = [str(t) for t in data["meta/vocab"]]
+    meta = json.loads(str(data["meta/extra"]))
+    model = Model.create(config, Vocab(tokens[2:]))
+
+    expected = {f"param/{p.name}": p for p in model.params.all_params()}
+    stored = {n for n in names if n.startswith("param/")}
+    if stored != set(expected):
+        raise CheckpointError(
+            f"{path} parameter names disagree: missing {sorted(set(expected) - stored)}, "
+            f"unexpected {sorted(stored - set(expected))}")
+    for name, p in expected.items():
+        value = data[name]
+        if value.shape != p.value.shape:
             raise CheckpointError(
-                f"{path} parameter names disagree: missing {sorted(set(expected) - stored)}, "
-                f"unexpected {sorted(stored - set(expected))}")
-        for name, p in expected.items():
-            value = data[name]
-            if value.shape != p.value.shape:
-                raise CheckpointError(
-                    f"{path}: {name} has shape {value.shape}, expected {p.value.shape}")
-            p.value[...] = value
+                f"{path}: {name} has shape {value.shape}, expected {p.value.shape}")
+        p.value[...] = value
 
-        opt_state = None
-        if any(n.startswith("opt/") for n in names):
-            opt_state = AdaGradState(model.params.all_params(),
-                                     config.learning_rate, config.adagrad_epsilon)
-            for pname, acc in opt_state.accumulators.items():
-                key = f"opt/{pname}"
-                if key not in names or data[key].shape != acc.shape:
-                    raise CheckpointError(f"{path}: optimizer state for {pname!r} is missing or misshaped")
-                acc[...] = data[key]
+    opt_state = None
+    if any(n.startswith("opt/") for n in names):
+        opt_state = AdaGradState(model.params.all_params(),
+                                 config.learning_rate, config.adagrad_epsilon)
+        for pname, acc in opt_state.accumulators.items():
+            key = f"opt/{pname}"
+            value = data[key] if key in names else None
+            if value is None or value.shape != acc.shape:
+                raise CheckpointError(f"{path}: optimizer state for {pname!r} is missing or misshaped")
+            acc[...] = value
     return model, opt_state, meta
 
 

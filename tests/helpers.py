@@ -9,12 +9,16 @@ Brute-force enumerators provide oracles for the metric and search code.
 from __future__ import annotations
 
 import itertools
+import json
+import struct
+import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from ordernet.autodiff import Graph, Tensor
-from ordernet.encoders import EncoderConfig, LstmCell, lstm_step
+from ordernet.encoders import LstmCell, lstm_step
 from ordernet.errors import EmptyInputError, IndexRangeError
 from ordernet.model import (
     START,
@@ -26,6 +30,7 @@ from ordernet.model import (
     encode_document,
     validate_target,
 )
+from ordernet.training import TrainConfig
 
 # ---------------------------------------------------------------------------
 # fixture builders
@@ -37,8 +42,50 @@ TINY_DIMS = dict(embed_dim=6, filter_lengths=(2, 3), feature_maps=3,
 
 def tiny_params(kind, seed, vocab_size=12, hidden_dim=7):
     """A small model of the given encoder kind with deterministic weights."""
-    config = EncoderConfig(kind=kind, **TINY_DIMS)
-    return PtrNetParams.create(config, hidden_dim, vocab_size, seed)
+    config = TrainConfig(encoder=kind, hidden_dim=hidden_dim, seed=seed, **TINY_DIMS)
+    return PtrNetParams.create(config, vocab_size)
+
+
+# Ways a checkpoint file can be damaged, for damaged_checkpoint.
+CHECKPOINT_DAMAGE = ("truncated", "bit-flipped", "meta-not-json", "unknown-encoder",
+                     "repeated-token")
+
+
+def damaged_checkpoint(path, damage):
+    """A copy of a good checkpoint file, next to it, damaged one way.
+
+    truncated keeps the first half of the bytes; bit-flipped flips one bit
+    of the last stored byte of param/attn.w, so only its CRC tells; the
+    others replace meta/config by text that is not JSON or by a config
+    naming an encoder kind that does not exist, or repeat the last token of
+    meta/vocab.
+    """
+    path = Path(path)
+    out = path.with_name(f"{damage}.npz")
+    raw = path.read_bytes()
+    if damage == "truncated":
+        out.write_bytes(raw[:len(raw) // 2])
+    elif damage == "bit-flipped":
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("param/attn.w.npy")
+        start = info.header_offset  # local header: 30 bytes, then name and extra field
+        name_len, extra_len = struct.unpack("<HH", raw[start + 26:start + 30])
+        last = start + 30 + name_len + extra_len + info.compress_size - 1
+        flipped = bytearray(raw)
+        flipped[last] ^= 0x01
+        out.write_bytes(bytes(flipped))
+    else:
+        arrays = dict(np.load(path, allow_pickle=False))
+        config = json.loads(str(arrays["meta/config"]))
+        arrays.update({
+            "meta-not-json": {"meta/config": np.array("{encoder: cbow")},
+            "unknown-encoder": {
+                "meta/config": np.array(json.dumps({**config, "encoder": "transformer"}))},
+            "repeated-token": {
+                "meta/vocab": np.append(arrays["meta/vocab"], arrays["meta/vocab"][-1])},
+        }[damage])
+        np.savez(out, **arrays)
+    return out
 
 
 def overwrite_well_scaled(params, seed, low=0.1, high=0.5):
@@ -155,7 +202,7 @@ def ref_sentence_vector(params, token_ids):
     """Encode one sentence with the configured encoder, in flat numpy."""
     emb = params.embeddings.value
     vectors = [emb[t] for t in token_ids]
-    kind = params.encoder.kind
+    kind = params.encoder
     if kind == "cbow":
         return np.mean(vectors, axis=0)
     if kind == "cnn":
@@ -267,7 +314,7 @@ def ref_encode_document(graph, sentences, params):
     if not sentences or not all(sentences):
         raise EmptyInputError("empty document or sentence")
     word_vectors = [[graph.lookup(params.embeddings, t) for t in s] for s in sentences]
-    kind = params.encoder.kind
+    kind = params.encoder
     if kind == "cbow":
         vectors = [graph.mean_rows(graph.stack_rows(words)) for words in word_vectors]
     elif kind == "cnn":

@@ -33,7 +33,6 @@ from ordernet.decoding import (
     rescore,
 )
 from ordernet.encoders import (
-    EncoderConfig,
     LstmCell,
     cbow_vector,
     cnn_vector,
@@ -171,8 +170,8 @@ def test_criterion_2_gradient_integrity():
             assert err <= 1e-4, f"cbow encoder: {err:.3e}"
             worst = max(worst, err)
 
-            config = EncoderConfig(kind="cnn", embed_dim=5,
-                                   filter_lengths=(2, 3), feature_maps=3)
+            config = TrainConfig(encoder="cnn", embed_dim=5,
+                                 filter_lengths=(2, 3), feature_maps=3)
             filters = create_cnn_filters("f", config, rng)
             leaves = words + [p for f in filters for p in f.params()]
             err = grad_check(lambda g: g.sum(cnn_vector(g, words, filters)), leaves)

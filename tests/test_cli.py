@@ -2,9 +2,12 @@
 
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
+
+from helpers import CHECKPOINT_DAMAGE, damaged_checkpoint
 
 from ordernet import cli, decoding
 from ordernet.training import checkpoint_load
@@ -37,6 +40,21 @@ def test_stats_missing_file_fails_with_diagnostic(capsys, tmp_path):
     rc, out, err = run_cli(capsys, ["stats", str(tmp_path / "absent.txt")])
     assert rc == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["stats", "--embeddings", "--config"])
+def test_a_file_that_is_not_utf8_fails_with_one_error_line(capsys, toy_corpus_dir, tmp_path,
+                                                           flag):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\n\ncaf\xe9\n")  # blank lines suit every format
+    argv = ["stats", str(bad)] if flag == "stats" else [
+        "train", flag, str(bad), "--train", str(toy_corpus_dir / "train.txt"),
+        "--dev", str(toy_corpus_dir / "test.txt"), "--out", str(tmp_path / "run")]
+    rc, _, err = run_cli(capsys, argv)
+    assert rc == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert f"{bad}:3: not UTF-8 text" in err
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +144,18 @@ def test_out_of_range_or_unreadable_settings_fail_with_one_error_line(
     assert not out.exists()
 
 
+def test_an_unknown_encoder_fails_before_any_corpus_is_read(capsys, tmp_path):
+    config = tmp_path / "c.cfg"
+    config.write_text("encoder = foo\n", encoding="utf-8")
+    rc, _, err = run_cli(capsys, [
+        "train", "--config", str(config), "--train", str(tmp_path / "absent-train.txt"),
+        "--dev", str(tmp_path / "absent-dev.txt"), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "encoder must be one of cbow, cnn, lstm, got 'foo'" in err and "absent" not in err
+
+
 def test_malformed_config_line_reports_position(capsys, tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("first line without equals\n", encoding="utf-8")
@@ -206,6 +236,20 @@ def test_eval_of_an_empty_file_fails_with_one_error_line(capsys, toy_checkpoint,
     assert rc == 1
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage", CHECKPOINT_DAMAGE)
+def test_eval_of_a_damaged_checkpoint_fails_with_one_error_line(
+        capsys, toy_corpus_dir, toy_checkpoint, tmp_path, damage):
+    good = tmp_path / "good.npz"
+    shutil.copyfile(toy_checkpoint, good)
+    bad = damaged_checkpoint(good, damage)
+    rc, _, err = run_cli(capsys, ["eval", "--checkpoint", str(bad),
+                                  "--test", str(toy_corpus_dir / "test.txt")])
+    assert rc == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert str(bad) in err
 
 
 def test_eval_requires_checkpoint_flag(capsys, toy_corpus_dir):

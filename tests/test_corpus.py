@@ -104,6 +104,15 @@ def test_ingest_stats_match_independent_recount(tmp_path):
     assert corpus.stats.avg_words == pytest.approx(expected_words / len(kept))
 
 
+def test_ingest_corpus_names_the_line_that_is_not_utf8(tmp_path):
+    # The bad byte sits far past the first read buffer, so the line number
+    # must come from the file, not from where decoding stopped.
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"first words .\nsecond words .\n\n" * 1000 + b"caf\xe9 au lait .\n")
+    with pytest.raises(FormatError, match=r"latin1\.txt:3001: not UTF-8 text"):
+        ingest_corpus(path)
+
+
 def test_ingest_empty_file_yields_zero_documents(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("", encoding="utf-8")
@@ -183,6 +192,13 @@ def test_load_pretrained_embeddings_reports_bad_lines(tmp_path):
     bad.write_text("apple 1.0 oops\n", encoding="utf-8")
     with pytest.raises(FormatError, match="bad.txt:1"):
         load_pretrained_embeddings(bad, vocab, 2, np.random.default_rng(0))
+
+
+def test_load_pretrained_embeddings_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_bytes(b"apple 1.0 2.0\n\xffpear 3.0 4.0\n")
+    with pytest.raises(FormatError, match=r"vec\.txt:2: not UTF-8 text"):
+        load_pretrained_embeddings(path, Vocab(["apple"]), 2, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@ from ordernet.decoding import (
     oracle_in_beam,
     rescore,
 )
-from ordernet.encoders import EncoderConfig
 from ordernet.errors import IndexRangeError, InvalidOrderError, ShapeError
 from ordernet.metrics import pm_scores
 from ordernet.model import START, Order, PtrNetParams
+from ordernet.training import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def test_a_decoder_that_does_not_fit_the_document_is_refused():
 
 def standard_params(kind, seed, vocab_size=40):
     """The default encoder dimensions (cnn: 128 maps x widths 3, 4, 5) and hidden 200."""
-    return PtrNetParams.create(EncoderConfig(kind=kind), 200, vocab_size, seed)
+    return PtrNetParams.create(TrainConfig(encoder=kind, seed=seed), vocab_size)
 
 
 def test_batch_decoder_advance_equals_graph_step_at_standard_dimensions():

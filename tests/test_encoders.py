@@ -16,17 +16,15 @@ from helpers import (
 
 from ordernet.autodiff import Graph, Param, Tensor, grad_check
 from ordernet.encoders import (
-    EncoderConfig,
     LstmCell,
     cbow_vector,
     cnn_vector,
-    cnn_vectors,
     create_cnn_filters,
     lstm_step,
     lstm_vector,
-    lstm_vectors,
 )
-from ordernet.errors import ConfigError, EmptyInputError, ShapeError
+from ordernet.errors import EmptyInputError, ShapeError
+from ordernet.training import TrainConfig
 
 
 def _bounded(rng, shape):
@@ -35,22 +33,8 @@ def _bounded(rng, shape):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# the LSTM cell
 # ---------------------------------------------------------------------------
-
-
-def test_output_dim_per_kind():
-    assert EncoderConfig(kind="cbow", embed_dim=7).output_dim == 7
-    assert EncoderConfig(kind="cnn", feature_maps=4,
-                         filter_lengths=(2, 3)).output_dim == 8
-    assert EncoderConfig(kind="lstm", recurrent_dim=11).output_dim == 11
-    # The all-defaults convolutional encoder concatenates three 128-wide maps.
-    assert EncoderConfig(kind="cnn").output_dim == 384
-
-
-def test_unknown_kind_is_rejected():
-    with pytest.raises(ConfigError):
-        EncoderConfig(kind="transformer")
 
 
 def test_lstm_cell_create_initializes_forget_bias_open():
@@ -226,8 +210,8 @@ def test_lstm_sequence_rejects_bad_shapes_and_empty_sequences():
     with pytest.raises(EmptyInputError):
         g.lstm_sequence(Tensor(np.zeros((0, 3))), [], Tensor(np.zeros((0, 2))),
                         Tensor(np.zeros((0, 2))), cell.w, cell.b)
-    with pytest.raises(EmptyInputError):
-        lstm_vectors(g, x, [2, 0], cell)
+    with pytest.raises(EmptyInputError):  # from zero states too
+        g.lstm_sequence(x, [2, 0], None, None, cell.w, cell.b)
 
 
 def test_lstm_with_zero_weights_and_biases_stays_at_zero():
@@ -274,8 +258,8 @@ def test_cbow_vector_is_the_word_average():
 def test_cnn_vector_hand_computed_single_filter():
     # One width-2 filter with weights summing the window: feature k is
     # tanh(x_k + x_{k+1}); the pooled value is the max over windows.
-    config = EncoderConfig(kind="cnn", embed_dim=1, filter_lengths=(2,),
-                           feature_maps=1)
+    config = TrainConfig(encoder="cnn", embed_dim=1, filter_lengths=(2,),
+                         feature_maps=1)
     filters = create_cnn_filters("f", config, np.random.default_rng(0))
     filters[0].w.value[...] = 1.0
     filters[0].b.value[...] = 0.0
@@ -286,8 +270,8 @@ def test_cnn_vector_hand_computed_single_filter():
 
 
 def test_cnn_vector_zero_pads_short_sentences():
-    config = EncoderConfig(kind="cnn", embed_dim=1, filter_lengths=(3,),
-                           feature_maps=1)
+    config = TrainConfig(encoder="cnn", embed_dim=1, filter_lengths=(3,),
+                         feature_maps=1)
     filters = create_cnn_filters("f", config, np.random.default_rng(0))
     filters[0].w.value[...] = 1.0
     filters[0].b.value[...] = 0.0
@@ -298,8 +282,8 @@ def test_cnn_vector_zero_pads_short_sentences():
 
 
 def test_cnn_vector_concatenates_filter_blocks_in_order():
-    config = EncoderConfig(kind="cnn", embed_dim=2, filter_lengths=(2, 3),
-                           feature_maps=3)
+    config = TrainConfig(encoder="cnn", embed_dim=2, filter_lengths=(2, 3),
+                         feature_maps=3)
     rng = np.random.default_rng(4)
     filters = create_cnn_filters("f", config, rng)
     g = Graph(recording=False)
@@ -314,7 +298,7 @@ def test_cnn_vectors_send_a_tied_maximum_to_the_earliest_window():
     # In "a b a b" the width-2 windows 0 and 2 are equal, so a feature that
     # peaks there ties; its gradient must reach the words of window 0, as it
     # does through max_over_time in the one-op-per-window encoder.
-    config = EncoderConfig(kind="cnn", embed_dim=2, filter_lengths=(2,), feature_maps=4)
+    config = TrainConfig(encoder="cnn", embed_dim=2, filter_lengths=(2,), feature_maps=4)
     rng = np.random.default_rng(7)
     filters = create_cnn_filters("f", config, rng)
     a, b = rng.normal(size=2), rng.normal(size=2)
@@ -323,7 +307,7 @@ def test_cnn_vectors_send_a_tied_maximum_to_the_earliest_window():
 
     words = Tensor(values)
     g = Graph()
-    g.backward(g.sum(g.mul(cnn_vectors(g, words, [4, 1], filters), Tensor(mixing))))
+    g.backward(g.sum(g.mul(g.conv_max(words, [4, 1], filters), Tensor(mixing))))
 
     rows = [Tensor(v) for v in values]
     g = Graph()
@@ -356,8 +340,8 @@ def test_lstm_vector_is_the_final_hidden_state():
 def test_encoders_reject_empty_sentences():
     g = Graph(recording=False)
     cell = LstmCell.create("c", 2, 3, np.random.default_rng(0))
-    config = EncoderConfig(kind="cnn", embed_dim=2, filter_lengths=(2,),
-                           feature_maps=1)
+    config = TrainConfig(encoder="cnn", embed_dim=2, filter_lengths=(2,),
+                         feature_maps=1)
     filters = create_cnn_filters("f", config, np.random.default_rng(0))
     with pytest.raises(EmptyInputError):
         cbow_vector(g, [])
@@ -382,8 +366,8 @@ def test_gradients_of_each_encoder_match_finite_differences():
         worst["cbow"] = max(worst["cbow"], grad_check(
             lambda g: g.sum(cbow_vector(g, words)), words))
 
-        config = EncoderConfig(kind="cnn", embed_dim=5, filter_lengths=(2, 3),
-                               feature_maps=3)
+        config = TrainConfig(encoder="cnn", embed_dim=5, filter_lengths=(2, 3),
+                             feature_maps=3)
         filters = create_cnn_filters("f", config, rng)
         for f in filters:
             f.w.value[...] = _bounded(rng, f.w.value.shape)

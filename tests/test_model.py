@@ -24,7 +24,6 @@ from helpers import (
 
 from ordernet.autodiff import Graph, Tensor
 from ordernet.corpus import Document, build_instances, build_vocab, tokenize
-from ordernet.encoders import EncoderConfig
 from ordernet.errors import EmptyInputError, IndexRangeError, InvalidOrderError, NumericError
 from ordernet.model import (
     START,
@@ -81,17 +80,16 @@ def test_per_encoder_parameter_sets():
 
 
 def test_pretrained_embeddings_are_used_verbatim():
-    config = EncoderConfig(kind="cbow", **TINY_DIMS)
+    config = TrainConfig(encoder="cbow", hidden_dim=7, seed=0, **TINY_DIMS)
     pre = np.arange(12 * TINY_DIMS["embed_dim"], dtype=float).reshape(12, -1)
-    params = PtrNetParams.create(config, 7, 12, seed=0, pretrained=pre)
+    params = PtrNetParams.create(config, 12, pretrained=pre)
     assert np.array_equal(params.embeddings.value, pre)
 
 
 def test_pretrained_embeddings_with_wrong_shape_are_rejected():
-    config = EncoderConfig(kind="cbow", **TINY_DIMS)
+    config = TrainConfig(encoder="cbow", hidden_dim=7, seed=0, **TINY_DIMS)
     with pytest.raises(IndexRangeError):
-        PtrNetParams.create(config, 7, 12, seed=0,
-                            pretrained=np.zeros((5, TINY_DIMS["embed_dim"])))
+        PtrNetParams.create(config, 12, pretrained=np.zeros((5, TINY_DIMS["embed_dim"])))
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +291,9 @@ def test_batch_loss_and_every_gradient_match_the_per_document_loop(kind):
         instances = _ragged_instances(rng, 30, count=1 + 3 * trial)
         worst = max(worst, _batch_against_loop(params, instances, reg=1e-3 * trial))
     # Wide enough that the batched products are summed in fixed blocks.
-    config = EncoderConfig(kind=kind, embed_dim=40, filter_lengths=(2, 3),
-                           feature_maps=64, recurrent_dim=64)
-    params = PtrNetParams.create(config, 64, 60, seed=5)
+    config = TrainConfig(encoder=kind, embed_dim=40, filter_lengths=(2, 3),
+                         feature_maps=64, recurrent_dim=64, hidden_dim=64, seed=5)
+    params = PtrNetParams.create(config, 60)
     worst = max(worst, _batch_against_loop(params, _ragged_instances(rng, 60, count=24), 1e-5))
     assert worst <= 1e-9, f"{kind}: batch differs from the loop by {worst:.3e}"
 
@@ -334,8 +332,8 @@ def test_one_projection_per_distinct_input_keeps_every_bit(kind, monkeypatch):
     # distinct word projects one row, which numpy hands to gemv: that
     # product may round differently, so it is held to 1e-15 instead.
     rng = np.random.default_rng({"cbow": 40, "cnn": 41, "lstm": 42}[kind])
-    wide = EncoderConfig(kind=kind, embed_dim=40, filter_lengths=(2, 3),
-                         feature_maps=64, recurrent_dim=64)
+    wide = TrainConfig(encoder=kind, embed_dim=40, filter_lengths=(2, 3),
+                       feature_maps=64, recurrent_dim=64, hidden_dim=64, seed=44)
     distinct = iter(range(1, 60))
     all_distinct = [SimpleNamespace(inputs=[[next(distinct) for _ in range(k)]
                                             for k in (3, 1, 4)], target=[2, 0, 1])
@@ -343,7 +341,7 @@ def test_one_projection_per_distinct_input_keeps_every_bit(kind, monkeypatch):
     one_word = [SimpleNamespace(inputs=[[7] * k for k in (2, 5, 1, 3)], target=[1, 3, 0, 2, 4]),
                 SimpleNamespace(inputs=[[7] * k for k in (4, 2)], target=[1, 0])]
     batches = [(tiny_params(kind, seed=43, vocab_size=30), _ragged_instances(rng, 30, count=7)),
-               (PtrNetParams.create(wide, 64, 60, seed=44), _ragged_instances(rng, 60, count=9)),
+               (PtrNetParams.create(wide, 60), _ragged_instances(rng, 60, count=9)),
                (tiny_params(kind, seed=45, vocab_size=60), all_distinct),
                (tiny_params(kind, seed=46, vocab_size=30), one_word)]
     for b, (params, instances) in enumerate(batches):

@@ -1,6 +1,8 @@
 """Tests for the optimizer, the training loop, and checkpoint persistence."""
 
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import overwrite_well_scaled
+from helpers import CHECKPOINT_DAMAGE, damaged_checkpoint, overwrite_well_scaled
 
 from ordernet import autodiff, decoding, training
 from ordernet import model as ptr_model
@@ -566,6 +568,29 @@ def test_config_rejects_bad_noise_settings():
         TrainConfig(noise_mode="always_one", fixed_length=True)
 
 
+def test_config_rejects_an_unknown_encoder():
+    with pytest.raises(ConfigError, match="transformer"):
+        TrainConfig(encoder="transformer")
+
+
+def test_sentence_dim_per_kind():
+    assert TrainConfig(encoder="cbow", embed_dim=7).sentence_dim == 7
+    assert TrainConfig(encoder="cnn", feature_maps=4,
+                       filter_lengths=(2, 3)).sentence_dim == 8
+    assert TrainConfig(encoder="lstm", recurrent_dim=11).sentence_dim == 11
+    # The all-defaults convolutional encoder concatenates three 128-wide maps.
+    assert TrainConfig(encoder="cnn").sentence_dim == 384
+
+
+def test_readme_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listing = re.search(r"Config keys mirror `TrainConfig`:(.*?)\.\s", readme, re.S)
+    assert listing, "README has no config key list"
+    listed = re.findall(r"`(\w+)`", listing.group(1))
+    assert len(listed) == len(set(listed)), listed
+    assert set(listed) == {f.name for f in dataclasses.fields(TrainConfig)}
+
+
 def test_config_dict_round_trip_and_unknown_keys():
     config = TrainConfig(**TINY_CONFIG)
     assert TrainConfig.from_dict(config.to_dict()) == config
@@ -639,6 +664,24 @@ def test_checkpoint_load_rejects_garbage(tmp_path):
     np.savez(foreign, other=np.ones(3))
     with pytest.raises(CheckpointError, match="not a recognized checkpoint"):
         checkpoint_load(foreign)
+
+    one_array = tmp_path / "array.npy"  # np.load reads it as an array, not an archive
+    np.save(one_array, np.ones(3))
+    with pytest.raises(CheckpointError, match="not a recognized checkpoint"):
+        checkpoint_load(one_array)
+
+
+@pytest.mark.parametrize("damage", CHECKPOINT_DAMAGE)
+def test_checkpoint_load_names_a_damaged_file(tmp_path, damage):
+    model, _ = tiny_model()
+    path = tmp_path / "good.npz"
+    checkpoint_save(path, model, AdaGradState(model.params.all_params(), 0.1, 0.1))
+    bad = damaged_checkpoint(path, damage)
+    expected = {"truncated": "", "bit-flipped": "CRC", "meta-not-json": "",
+                "unknown-encoder": "encoder must be one of .*'transformer'",
+                "repeated-token": "duplicate tokens"}[damage]
+    with pytest.raises(CheckpointError, match=re.escape(str(bad)) + ".*" + expected):
+        checkpoint_load(bad)
 
 
 def _doctor(path, out, drop=None, reshape=None):
