@@ -137,18 +137,6 @@ def single_blas_thread():
         set_(before)
 
 
-def row_view(whole, index):
-    """A Tensor whose value and gradient are views of one row of another's.
-
-    It needs no tape entry: whatever reaches the row's gradient lands in
-    the whole tensor's gradient, which the whole's own op reads.
-    """
-    row = Tensor.__new__(Tensor)
-    row.value = whole.value[index]
-    row.grad = whole.grad[index]
-    return row
-
-
 def _segments(lengths, rows, what):
     """Validated segment lengths (each >= 1, summing to rows) and offsets."""
     lengths = np.asarray(lengths, dtype=np.intp)

@@ -30,6 +30,7 @@ from .errors import ConfigError, OrdernetError
 from .metrics import aggregate
 from .model import saliency
 from .training import (
+    _NOISE_ALIASES,
     Model,
     TrainConfig,
     checkpoint_load,
@@ -358,7 +359,7 @@ def build_parser():
     beam = argparse.ArgumentParser(add_help=False)
     beam.add_argument("--beam", type=int, metavar="N")
     view = argparse.ArgumentParser(add_help=False)
-    view.add_argument("--noise", choices=("none", "one", "half"))
+    view.add_argument("--noise", choices=tuple(_NOISE_ALIASES))
     view.add_argument("--fixed-length", dest="fixed_length", choices=("on", "off"))
 
     sub = parser.add_subparsers(dest="command", required=True)

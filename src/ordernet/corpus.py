@@ -187,9 +187,12 @@ def load_pretrained_embeddings(path, vocab, dim, rng):
         if token_id is None or token_id in (PAD_ID, UNK_ID):
             continue
         try:
-            matrix[token_id] = [float(v) for v in values]
+            row = [float(v) for v in values]
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: non-numeric embedding value") from exc
+        if not np.isfinite(row).all():
+            raise FormatError(f"{path}:{lineno}: non-finite embedding value")
+        matrix[token_id] = row
         found.add(token_id)
     total = len(vocab) - 2
     coverage = len(found) / total if total else 0.0

@@ -6,7 +6,7 @@ Graph.conv_max (cnn: max-over-time tanh feature maps per filter width) or
 Graph.lstm_sequence (lstm: the final hidden state).  This module holds the
 encoders' parameters, the one-step LSTM composition lstm_step, and the
 *_vector functions, which run the same ops on one sentence given as a list
-of word tensors.
+of word tensors and look up the one row they make as a vector.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Param, row_view
+from .autodiff import Param
 from .errors import EmptyInputError
 
 ENCODER_KINDS = ("cbow", "cnn", "lstm")
@@ -88,17 +88,17 @@ def _one_sentence(graph, word_vectors):
 def cbow_vector(graph, word_vectors):
     """Plain average of one sentence's word vectors."""
     words, lengths = _one_sentence(graph, word_vectors)
-    return row_view(graph.mean_rows(words, lengths), 0)
+    return graph.lookup(graph.mean_rows(words, lengths), 0)
 
 
 def cnn_vector(graph, word_vectors, filters):
     """Max-over-time tanh feature maps of one sentence, one block per filter width."""
     words, lengths = _one_sentence(graph, word_vectors)
-    return row_view(graph.conv_max(words, lengths, filters), 0)
+    return graph.lookup(graph.conv_max(words, lengths, filters), 0)
 
 
 def lstm_vector(graph, word_vectors, cell):
     """Final hidden state of an LSTM run from a zero state over one sentence."""
     words, lengths = _one_sentence(graph, word_vectors)
     _, h, _ = graph.lstm_sequence(words, lengths, None, None, cell.w, cell.b, keep_hidden=False)
-    return row_view(h, 0)
+    return graph.lookup(h, 0)

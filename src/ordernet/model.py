@@ -15,9 +15,9 @@ teacher-forced decoder of all of them as one LSTM op and scores every
 pointing step with one attention op, except a forced last step (one visible
 slot, log-probability exactly 0), which it neither runs nor scores.
 sequence_log_prob and encode_document are its one-document cases.  For
-saliency, advance_decoder and decode_step step a single decoder state; they
-are compositions of Graph primitives (the decoder LSTM step is
-encoders.lstm_step), with no fused per-step op.
+saliency, advance_decoder and decode_step step a single decoder state over
+encode_document's BatchEncoding; they are compositions of Graph primitives
+(the decoder LSTM step is encoders.lstm_step), with no fused per-step op.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, Param, Tensor, row_view, single_blas_thread
+from .autodiff import Graph, Param, Tensor, single_blas_thread
 from .corpus import stable_seed
 from .encoders import LstmCell, create_cnn_filters, lstm_step
 from .errors import EmptyInputError, IndexRangeError, InvalidOrderError, NumericError
@@ -175,27 +175,9 @@ def encode_batch(graph, documents, params):
                          np.cumsum(doc_lengths) - doc_lengths, context, final_h, final_c)
 
 
-@dataclass
-class EncodedInstance:
-    """Forward state shared by every decode step of one instance."""
-
-    word_vectors: list         # per sentence, per word embedding tensors
-    sentence_vectors: list     # one vector per input sentence
-    context_hidden: list       # encoder hidden states e_1..e_n (attention keys)
-    final_state: tuple         # (hidden, cell) after the last sentence
-
-
 def encode_document(graph, sentences, params):
-    """encode_batch of one document, with every output split into row views."""
-    batch = encode_batch(graph, [sentences], params)
-    starts = np.cumsum(batch.sentence_lengths) - batch.sentence_lengths
-    word_vectors = [[row_view(batch.words, start + j) for j in range(length)]
-                    for start, length in zip(starts, batch.sentence_lengths)]
-    n = len(sentences)
-    sentence_vectors = [row_view(batch.sentences, i) for i in range(n)]
-    context_hidden = [row_view(batch.context, i) for i in range(n)]
-    final_state = (row_view(batch.final_h, 0), row_view(batch.final_c, 0))
-    return EncodedInstance(word_vectors, sentence_vectors, context_hidden, final_state)
+    """encode_batch of one document."""
+    return encode_batch(graph, [sentences], params)
 
 
 def decode_step(graph, decoder_hidden, encoded, mask, params, allow_stop=False):
@@ -206,10 +188,8 @@ def decode_step(graph, decoder_hidden, encoded, mask, params, allow_stop=False):
     computed here with attn_w split into its key and query halves.
     """
     h = params.hidden_dim
-    rows = list(encoded.context_hidden)
-    if allow_stop:
-        rows.append(params.stop_key)
-    keys = graph.matmul(graph.stack_rows(rows), graph.narrow(params.attn_w, 0, h))
+    rows = graph.stack_rows([encoded.context, params.stop_key]) if allow_stop else encoded.context
+    keys = graph.matmul(rows, graph.narrow(params.attn_w, 0, h))
     query = graph.matmul(decoder_hidden, graph.narrow(params.attn_w, h, 2 * h))
     logits = graph.matmul(graph.tanh(graph.add_rowvec(keys, query)), params.attn_v)
     return graph.masked_softmax(logits, mask)
@@ -220,10 +200,10 @@ def advance_decoder(graph, state, chosen, encoded, params):
     if chosen == START:
         x = params.start_input
     else:
-        if not 0 <= chosen < len(encoded.sentence_vectors):
-            raise IndexRangeError(f"chosen position {chosen} outside "
-                                  f"{len(encoded.sentence_vectors)} inputs")
-        x = encoded.sentence_vectors[chosen]
+        n = len(encoded.sentence_lengths)
+        if not 0 <= chosen < n:
+            raise IndexRangeError(f"chosen position {chosen} outside {n} inputs")
+        x = graph.lookup(encoded.sentences, chosen)
     return lstm_step(graph, x, state[0], state[1], params.decoder_cell)
 
 
@@ -342,8 +322,9 @@ def saliency(instance, prefix, params, choice=None, allow_stop=False):
     Runs the decoder teacher-forced through `prefix` (distinct positions),
     takes the distribution of the next step, and differentiates the
     probability of `choice` (the greedy argmax when omitted, else a slot
-    not in the prefix) with respect to each word embedding use, on one
-    BLAS thread.  The parameters' gradients are left as they were found.
+    not in the prefix) with respect to each word embedding use (a row of
+    the document's one embedding lookup), on one BLAS thread.  The
+    parameters' gradients are left as they were found.
     A forced step, whose one free slot is the choice, builds no graph: its
     probability is exactly 1 and every score exactly 0, as backward gives.
     """
@@ -360,7 +341,7 @@ def saliency(instance, prefix, params, choice=None, allow_stop=False):
     with single_blas_thread():
         graph = Graph()
         encoded = encode_document(graph, instance.inputs, params)
-        state = encoded.final_state
+        state = (graph.lookup(encoded.final_h, 0), graph.lookup(encoded.final_c, 0))
         mask = np.zeros(slots, dtype=bool)
         previous = START
         for p in prefix:
@@ -382,10 +363,8 @@ def saliency(instance, prefix, params, choice=None, allow_stop=False):
             for param, grad in saved:
                 param.grad[...] = grad
 
-        scores = [
-            [float(np.linalg.norm(w.grad)) for w in sentence]
-            for sentence in encoded.word_vectors
-        ]
+        norms = iter([float(np.linalg.norm(row)) for row in encoded.words.grad])
+        scores = [[next(norms) for _ in range(length)] for length in encoded.sentence_lengths]
     return SaliencyResult(
         step=len(prefix) + 1,
         choice=choice,

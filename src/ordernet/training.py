@@ -36,7 +36,7 @@ _NOISE_ALIASES = {"none": "none", "one": "always_one", "always_one": "always_one
                  "half": "half"}
 
 _SIZES = ("hidden_dim", "feature_maps", "recurrent_dim", "embed_dim", "beam_size",
-          "batch_size", "epochs")
+          "batch_size", "epochs", "min_count")
 _POSITIVE_RATES = ("learning_rate", "clip_norm", "adagrad_epsilon")
 
 
@@ -77,6 +77,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.fixed_length, bool):
+            raise ConfigError(f"fixed_length must be True or False, got {self.fixed_length!r}")
         if not (self.filter_lengths and all(_is_int(w) and w >= 1 for w in self.filter_lengths)):
             raise ConfigError(f"filter_lengths must be integers >= 1, got {self.filter_lengths!r}")
         for name in _POSITIVE_RATES:

@@ -22,7 +22,7 @@ from ordernet.encoders import LstmCell, lstm_step
 from ordernet.errors import EmptyInputError, IndexRangeError
 from ordernet.model import (
     START,
-    EncodedInstance,
+    BatchEncoding,
     Order,
     PtrNetParams,
     advance_decoder,
@@ -310,20 +310,34 @@ def _lstm_chain(graph, inputs, cell, dim):
 
 def ref_encode_document(graph, sentences, params):
     """encode_document for one document, one lookup per word and one
-    encoders.lstm_step per LSTM input."""
+    encoders.lstm_step per LSTM input.  The sentence encoders read each word
+    as its row of `words`, the stack of those lookups, so words.grad holds
+    one gradient row per word use, as encode_batch's does."""
     if not sentences or not all(sentences):
         raise EmptyInputError("empty document or sentence")
-    word_vectors = [[graph.lookup(params.embeddings, t) for t in s] for s in sentences]
+    lengths = np.array([len(s) for s in sentences])
+    words = graph.stack_rows([graph.lookup(params.embeddings, t) for s in sentences for t in s])
+    rows = iter(range(int(lengths.sum())))
+    word_vectors = [[graph.lookup(words, next(rows)) for _ in s] for s in sentences]
     kind = params.encoder
     if kind == "cbow":
-        vectors = [graph.mean_rows(graph.stack_rows(words)) for words in word_vectors]
+        vectors = [graph.mean_rows(graph.stack_rows(sentence)) for sentence in word_vectors]
     elif kind == "cnn":
-        vectors = [composed_cnn_vector(graph, words, params.cnn_filters) for words in word_vectors]
+        vectors = [composed_cnn_vector(graph, sentence, params.cnn_filters)
+                   for sentence in word_vectors]
     else:
-        vectors = [_lstm_chain(graph, words, params.word_cell, params.word_cell.state_dim)[1][0]
-                   for words in word_vectors]
-    hidden, final = _lstm_chain(graph, vectors, params.context_cell, params.hidden_dim)
-    return EncodedInstance(word_vectors, vectors, hidden, final)
+        vectors = [_lstm_chain(graph, sentence, params.word_cell, params.word_cell.state_dim)[1][0]
+                   for sentence in word_vectors]
+    hidden, (h, c) = _lstm_chain(graph, vectors, params.context_cell, params.hidden_dim)
+    return BatchEncoding(words, lengths, graph.stack_rows(vectors), np.array([len(sentences)]),
+                         np.array([0]), graph.stack_rows(hidden), graph.stack_rows([h]),
+                         graph.stack_rows([c]))
+
+
+def start_state(graph, encoded):
+    """The decoder's first (hidden, cell): row 0 of a one-document encoding's
+    final context state."""
+    return graph.lookup(encoded.final_h, 0), graph.lookup(encoded.final_c, 0)
 
 
 def ref_sequence_log_prob(graph, sentences, target, params):
@@ -332,7 +346,7 @@ def ref_sequence_log_prob(graph, sentences, target, params):
     n = len(sentences)
     allow_stop = validate_target(target, n)
     encoded = ref_encode_document(graph, sentences, params)
-    state = encoded.final_state
+    state = start_state(graph, encoded)
     mask = np.zeros(n + 1 if allow_stop else n, dtype=bool)
     previous = START
     total = None
@@ -393,7 +407,7 @@ def ref_beam_decode(sentences, params, beam_size, variable_length=False):
     graph = Graph(recording=False)
     encoded = encode_document(graph, sentences, params)
 
-    root_state = advance_decoder(graph, encoded.final_state, START, encoded, params)
+    root_state = advance_decoder(graph, start_state(graph, encoded), START, encoded, params)
     beam = [_Candidate((), (), root_state, None, 0.0, False)]
 
     while any(not c.finished for c in beam):

@@ -19,6 +19,7 @@ from helpers import (
     all_stop_orders,
     overwrite_well_scaled,
     random_sentences,
+    start_state,
     tiny_params,
 )
 
@@ -487,7 +488,7 @@ def _step_probability(params, sentences, prefix, choice):
     """Forward-only probability of `choice` after a teacher-forced prefix."""
     g = Graph(recording=False)
     encoded = encode_document(g, sentences, params)
-    state = encoded.final_state
+    state = start_state(g, encoded)
     mask = np.zeros(len(sentences), dtype=bool)
     previous = START
     for p in prefix:
@@ -503,7 +504,7 @@ def _word_gradient(inst, prefix, params, choice, j, k):
     """Gradient of the step probability for one word-embedding use."""
     g = Graph()
     encoded = encode_document(g, inst.inputs, params)
-    state = encoded.final_state
+    state = start_state(g, encoded)
     mask = np.zeros(len(inst.inputs), dtype=bool)
     previous = START
     for p in prefix:
@@ -513,7 +514,7 @@ def _word_gradient(inst, prefix, params, choice, j, k):
     state = advance_decoder(g, state, previous, encoded, params)
     probs = decode_step(g, state[0], encoded, mask, params)
     g.backward(g.pick(probs, choice))
-    return encoded.word_vectors[j][k].grad.copy()
+    return encoded.words.grad[sum(map(len, inst.inputs[:j])) + k].copy()
 
 
 def test_criterion_9_saliency_validity(tmp_path):

@@ -89,6 +89,25 @@ def test_train_flag_overrides_config_file(capsys, toy_corpus_dir, tmp_path):
     assert '"epochs": 1' in out.splitlines()[0]
 
 
+def test_noise_flag_takes_the_config_name_of_a_mode(capsys, toy_corpus_dir, tmp_path):
+    # `always_one` is how configs, checkpoints and the README name the mode;
+    # `one` is its short form.
+    config = tmp_path / "c.cfg"
+    config.write_text("encoder = cbow\nhidden_dim = 8\nembed_dim = 6\nrecurrent_dim = 8\n"
+                      "batch_size = 8\nepochs = 1\n", encoding="utf-8")
+    echoes = []
+    for noise in ("always_one", "one"):
+        rc, out, err = run_cli(capsys, [
+            "train", "--config", str(config), "--noise", noise, "--fixed-length", "off",
+            "--train", str(toy_corpus_dir / "train.txt"),
+            "--dev", str(toy_corpus_dir / "test.txt"), "--out", str(tmp_path / noise)])
+        assert rc == 0, err
+        echoes.append(out.splitlines()[0])
+    assert echoes[0] == echoes[1]
+    assert echoes[0].startswith("# config:")
+    assert '"noise_mode": "always_one"' in echoes[0]
+
+
 def test_train_creates_a_missing_out_directory(capsys, toy_corpus_dir, tmp_path):
     config = tmp_path / "c.cfg"
     config.write_text("encoder = cbow\nhidden_dim = 8\nembed_dim = 6\nrecurrent_dim = 8\n"

@@ -194,6 +194,14 @@ def test_load_pretrained_embeddings_reports_bad_lines(tmp_path):
         load_pretrained_embeddings(bad, vocab, 2, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_pretrained_embeddings_rejects_a_non_finite_value(tmp_path, value):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"apple 1.0 2.0\npear 0.5 {value}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=r"vec\.txt:2: non-finite embedding value"):
+        load_pretrained_embeddings(path, Vocab(["apple", "pear"]), 2, np.random.default_rng(0))
+
+
 def test_load_pretrained_embeddings_names_the_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_bytes(b"apple 1.0 2.0\n\xffpear 3.0 4.0\n")

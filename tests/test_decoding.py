@@ -304,7 +304,7 @@ def test_the_top_k_cut_keeps_every_child_tied_at_the_cut():
     assert first_level.count(first_level[2]) > 3  # n = 6, beam 3: four children on the cut
 
 
-def test_search_never_builds_per_word_row_views(monkeypatch):
+def test_search_never_calls_encode_document(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("search called encode_document")
 

@@ -1,11 +1,18 @@
-"""Static check of the package source: every imported name is used."""
+"""Static check of the package source: every imported name is used, and
+every name kept bound without a use is one the benchmark's tracer wraps."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import ordernet
 
 PACKAGE = Path(ordernet.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _is_kept_alive(node, lines):
+    return any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
 
 
 def unused_imports(source):
@@ -22,7 +29,7 @@ def unused_imports(source):
             continue
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+        if _is_kept_alive(node, lines):
             continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
@@ -54,3 +61,39 @@ def test_no_module_of_the_package_imports_a_name_it_never_reads():
               for path in modules
               for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def kept_alive_imports(source):
+    """(line, name) of each name imported on a line marked `# noqa: F401`."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    return sorted((node.lineno, alias.asname or alias.name.split(".")[0])
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and _is_kept_alive(node, lines)
+                  for alias in node.names)
+
+
+def test_kept_alive_imports_are_found():
+    source = ("import os\n"
+              "from json import dumps, loads  # noqa: F401\n"
+              "from re import (  # noqa: F401\n"
+              "    sub,\n"
+              ")\n")
+    assert kept_alive_imports(source) == [(2, "dumps"), (2, "loads"), (3, "sub")]
+
+
+def test_every_kept_alive_import_is_one_the_tracer_wraps():
+    # A name imported only so that bench/tracing.py can wrap it in that
+    # module's namespace must go once the tracer no longer patches it there.
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = {(owner.__name__, attr)
+               for _, sites in tracing.LAYER_TARGETS for owner, attr in sites}
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    unwrapped = [f"{path.name}:{line}: {name}"
+                 for path in modules
+                 for line, name in kept_alive_imports(path.read_text(encoding="utf-8"))
+                 if (f"ordernet.{path.stem}", name) not in wrapped]
+    assert not unwrapped, "kept alive but not wrapped by the tracer:\n" + "\n".join(unwrapped)

@@ -15,9 +15,11 @@ from helpers import (
     random_sentences,
     ref_batch_loss,
     ref_context,
+    ref_encode_document,
     ref_log_prob,
     ref_step_probs,
     scored_steps,
+    start_state,
     stepwise_lstm_sequence,
     tiny_params,
 )
@@ -105,12 +107,12 @@ def test_encode_document_matches_flat_reference():
         g = Graph(recording=False)
         enc = encode_document(g, sentences, params)
         sent_vecs, hiddens, (h, c) = ref_context(params, sentences)
-        for got, want in zip(enc.sentence_vectors, sent_vecs):
-            assert np.allclose(got.value, want, atol=1e-12)
-        for got, want in zip(enc.context_hidden, hiddens):
-            assert np.allclose(got.value, want, atol=1e-12)
-        assert np.allclose(enc.final_state[0].value, h, atol=1e-12)
-        assert np.allclose(enc.final_state[1].value, c, atol=1e-12)
+        for got, want in zip(enc.sentences.value, sent_vecs, strict=True):
+            assert np.allclose(got, want, atol=1e-12)
+        for got, want in zip(enc.context.value, hiddens, strict=True):
+            assert np.allclose(got, want, atol=1e-12)
+        assert np.allclose(enc.final_h.value[0], h, atol=1e-12)
+        assert np.allclose(enc.final_c.value[0], c, atol=1e-12)
 
 
 def test_encode_document_rejects_empty_input():
@@ -131,7 +133,7 @@ def test_decode_step_matches_unfactorized_attention():
             mask = np.zeros(n_slots, dtype=bool)
             mask[1] = True
             probs = decode_step(g, _tensor(g, d), enc, mask, params, allow_stop)
-            hiddens = [t.value for t in enc.context_hidden]
+            hiddens = list(enc.context.value)
             want = ref_step_probs(params, hiddens, d, mask, allow_stop)
             assert np.max(np.abs(probs.value - want)) <= 1e-12
 
@@ -146,12 +148,12 @@ def test_advance_decoder_start_sentinel_and_range_check():
     params = tiny_params("cbow", seed=1)
     g = Graph(recording=False)
     enc = encode_document(g, random_sentences(rng, 12, 3), params)
-    state = advance_decoder(g, enc.final_state, START, enc, params)
+    state = advance_decoder(g, start_state(g, enc), START, enc, params)
     assert state[0].value.shape == (params.hidden_dim,)
     with pytest.raises(IndexRangeError):
-        advance_decoder(g, enc.final_state, 3, enc, params)
+        advance_decoder(g, start_state(g, enc), 3, enc, params)
     with pytest.raises(IndexRangeError):
-        advance_decoder(g, enc.final_state, -2, enc, params)
+        advance_decoder(g, start_state(g, enc), -2, enc, params)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +506,7 @@ def test_saliency_reports_the_probed_probability_and_word_shapes():
     # The probability must equal the same teacher-forced forward pass.
     g = Graph(recording=False)
     enc = encode_document(g, sentences, params)
-    state = advance_decoder(g, enc.final_state, START, enc, params)
+    state = advance_decoder(g, start_state(g, enc), START, enc, params)
     mask = np.zeros(4, dtype=bool)
     mask[2] = True
     state = advance_decoder(g, state, 2, enc, params)
@@ -520,7 +522,7 @@ def test_saliency_defaults_to_the_greedy_choice():
     result = saliency(inst, prefix=[], params=params)
     g = Graph(recording=False)
     enc = encode_document(g, sentences, params)
-    state = advance_decoder(g, enc.final_state, START, enc, params)
+    state = advance_decoder(g, start_state(g, enc), START, enc, params)
     probs = decode_step(g, state[0], enc, np.zeros(3, bool), params, False)
     assert result.choice == int(np.argmax(probs.value))
     assert result.step == 1
@@ -580,6 +582,50 @@ def test_lstm_saliency_matches_the_step_by_step_encoder(monkeypatch):
             assert len(row) == len(ref_row)
             for value, ref in zip(row, ref_row):
                 assert value == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+
+def _reference_saliency(sentences, prefix, choice, params, allow_stop):
+    """Step probability and per-word gradient norms, with the encoder run
+    one lookup and one op per word (helpers.ref_encode_document)."""
+    g = Graph()
+    encoded = ref_encode_document(g, sentences, params)
+    state = start_state(g, encoded)
+    mask = np.zeros(len(sentences) + allow_stop, dtype=bool)
+    previous = START
+    for p in prefix:
+        state = advance_decoder(g, state, previous, encoded, params)
+        mask[p] = True
+        previous = p
+    state = advance_decoder(g, state, previous, encoded, params)
+    prob = g.pick(decode_step(g, state[0], encoded, mask, params, allow_stop), choice)
+    g.backward(prob)
+    return float(prob.value), np.linalg.norm(encoded.words.grad, axis=1)
+
+
+def test_saliency_scores_equal_per_word_reference_gradients():
+    # Ragged sentences: one word, and two words, shorter than the widest
+    # cnn filter (3).
+    sentences = [[3, 5, 7, 2], [4], [8, 9], [6, 10, 11, 3, 1]]
+    order = [2, 0, 3, 1]
+    cases = 0
+    for kind in ("cbow", "cnn", "lstm"):
+        params = tiny_params(kind, seed=15)
+        for allow_stop in (False, True):
+            inst = SimpleNamespace(inputs=sentences)
+            # Every unforced step, at the greedy choice and at the stop slot
+            # or last gold position.
+            for k in range(len(sentences) - 1 + allow_stop):
+                prefix = order[:k]
+                for choice in (None, 4 if allow_stop else order[-1]):
+                    result = saliency(inst, prefix, params, choice, allow_stop)
+                    prob, norms = _reference_saliency(sentences, prefix, result.choice,
+                                                      params, allow_stop)
+                    assert abs(result.probability - prob) <= 1e-15
+                    scores = [v for row in result.scores for v in row]
+                    assert np.max(np.abs(np.array(scores) - norms)) <= 1e-12
+                    assert np.max(norms) > 0.0
+                    cases += 1
+    assert cases == 3 * (2 * 3 + 2 * 4)
 
 
 def test_saliency_restores_every_parameter_gradient():

@@ -53,3 +53,30 @@ def test_config_text_raises_only_ordernet_errors(key, text):
         TrainConfig(**{key: parse_config_value(key, text)})
     except OrdernetError:
         pass
+
+
+setting_value = st.one_of(
+    st.integers(-3, 300), st.floats(), st.booleans(), st.none(), st.text(max_size=4),
+    st.sampled_from(["cbow", "cnn", "lstm", "none", "one", "always_one", "half", "off"]),
+)
+# Keyword arguments for up to three fields, each a value of any of the
+# kinds above (filter_lengths: a list of them); the other fields keep their
+# defaults.
+config_settings = st.lists(
+    st.sampled_from([f.name for f in fields(TrainConfig)]), max_size=3, unique=True,
+).flatmap(lambda keys: st.fixed_dictionaries({
+    key: st.lists(setting_value, max_size=4) if key == "filter_lengths" else setting_value
+    for key in keys}))
+
+
+@PROPERTY
+@given(config_settings)
+def test_every_config_that_builds_survives_its_dict_round_trip(settings):
+    # A checkpoint stores to_dict() and reloads it through from_dict, so a
+    # config that builds but does not round-trip writes an unloadable (or
+    # silently different) checkpoint.
+    try:
+        config = TrainConfig(**settings)
+    except OrdernetError:
+        return
+    assert TrainConfig.from_dict(config.to_dict()) == config

@@ -568,6 +568,18 @@ def test_config_rejects_bad_noise_settings():
         TrainConfig(noise_mode="always_one", fixed_length=True)
 
 
+@pytest.mark.parametrize("setting", [
+    dict(seed="abc"), dict(seed=1.5), dict(seed=True), dict(min_count=2.5),
+    dict(min_count=0), dict(fixed_length="off"), dict(fixed_length=1),
+])
+def test_config_rejects_what_a_checkpoint_could_not_restore(setting):
+    # Each of these once built a config whose checkpoint then failed to
+    # load; fixed_length="off" even trained in fixed-length mode.
+    (key,) = setting
+    with pytest.raises(ConfigError, match=key):
+        TrainConfig(**setting)
+
+
 def test_config_rejects_an_unknown_encoder():
     with pytest.raises(ConfigError, match="transformer"):
         TrainConfig(encoder="transformer")
