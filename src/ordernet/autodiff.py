@@ -72,21 +72,43 @@ def sigmoid(v, out=None):
     return out
 
 
+@functools.cache
+def _gate_affine(width):
+    """Read-only (scale, shift) vectors of packed gate pre-activations of
+    the given width: 0.5 and 0.5 on the three sigmoid blocks, 1.0 and -0.0
+    on the candidate block."""
+    d = width // 4
+    scale = np.full(width, 0.5)
+    shift = np.full(width, 0.5)
+    scale[3 * d:], shift[3 * d:] = 1.0, -0.0
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
+
+
 def lstm_cell(pre, c_prev):
     """Gate nonlinearities and state update of an LSTM, on plain arrays.
 
     pre holds the pre-activations packed (input, output, forget, candidate)
     along its last axis; a leading batch axis is allowed.  The activations
     are written over pre (sigmoids of the first three blocks, tanh of the
-    candidate), so the caller hands over an array it owns.  Returns the new
-    hidden state tanh(c) * output, the new cell state c = c_prev * forget +
+    candidate), so the caller hands over an array it owns.  They are three
+    passes over all of pre's rows: pre *= scale, one tanh, then pre *=
+    scale; pre += shift, with scale and shift 0.5 on the sigmoid blocks and
+    1.0 and -0.0 on the candidate.  Halving is exact and t * 0.5 + 0.5 ==
+    (t + 1) * 0.5 for t in [-1, 1], so the gates equal sigmoid()'s
+    0.5 * (1 + tanh(v / 2)) and np.tanh of the candidate bit for bit (x *
+    1.0 and x + -0.0 are x, signed zeros included).  Returns the new hidden
+    state tanh(c) * output, the new cell state c = c_prev * forget +
     candidate * input, and pre, now holding the activations.  c and h are
     built by in-place ops in the order of those expressions, so they round
     as the expressions do.
     """
     d = pre.shape[-1] // 4
-    sigmoid(pre[..., :3 * d], out=pre[..., :3 * d])
-    np.tanh(pre[..., 3 * d:], out=pre[..., 3 * d:])
+    scale, shift = _gate_affine(pre.shape[-1])
+    pre *= scale
+    np.tanh(pre, out=pre)
+    pre *= scale
+    pre += shift
     gate_in, gate_out, gate_forget, candidate = _gate_blocks(pre, d)
     h = np.multiply(candidate, gate_in)
     c = np.multiply(c_prev, gate_forget)

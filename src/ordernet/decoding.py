@@ -18,9 +18,12 @@ is computed once (input_pre = [start; sentences] @ W_x + b) and each step
 only adds hidden @ W_h to the rows it gathers.  A beam step computes only
 what differs between candidates: hidden @ W_h once per distinct surviving
 parent (its children share it and differ only in their input_pre row),
-attention logits only for the (row, slot) pairs that are still visible, and
-Python candidates only for the children that can survive the level's
-top-k cut.
+attention logits only for the slots that are still visible, and Python
+candidates only for the children that can survive the level's top-k cut.
+Every live candidate of a level holds the same number of positions, so
+each has the same number V of visible slots: attention runs on a (B, V)
+grid of them, and the LSTM gates of a step are whole-row passes over its
+contiguous (B, 4h) pre-activations (autodiff.lstm_cell).
 Exhaustive search and rescoring teacher-force the differentiable Graph path
 of ordernet.model.  No search runs the per-step Graph functions, which
 compose primitives and have no fused op.
@@ -58,7 +61,8 @@ class BatchDecoder:
     model.decode_step to every row at once, with no gradient buffers.
     advance() steps children from their parents' rows, multiplying each
     distinct parent's hidden state by the recurrent weights once;
-    log_probs() evaluates the attention only at the visible pairs.
+    log_probs() evaluates the attention only on the (B, V) grid of visible
+    slots, V being the same for every row.
     """
 
     @classmethod
@@ -139,22 +143,28 @@ class BatchDecoder:
         hidden, cell, _ = lstm_cell(pre, cell)
         return hidden, cell
 
-    def log_probs(self, hidden, visible):
-        """(B, slots) log pointing distributions of the B rows of hidden.
+    def log_probs(self, hidden, free):
+        """(B, V) step log-probabilities of the V visible slots of each row.
 
-        visible is the pair (rows, columns) of index arrays that
-        np.nonzero(~mask) returns for a (B, slots) mask that is True on
-        hidden slots.  The attention logit is computed at those pairs only;
-        every other slot comes out as -inf, so it is never the argmax of a
-        row with any visible slot.  Every row needs one visible slot.
+        free is the (B, V) grid of visible slot numbers, ascending along
+        each row: every row of a beam level has the same number V of
+        visible slots, so np.nonzero(~mask)[1].reshape(B, V) gives it for
+        a (B, slots) mask that is True on hidden slots.  The query
+        projection of each row is broadcast over its V keys, and entry
+        (r, i) is the log-probability of slot free[r, i].  The normalizer
+        is summed over each whole slot row with zeros at hidden slots, so
+        it rounds as a full-row masked log-softmax does.  V must be at
+        least 1.
         """
-        rows, free = visible
         pairs = self.keys[free]
-        pairs += (hidden @ self.query_w)[rows]
-        logits = np.full((len(hidden), self.slots), -np.inf)
-        logits[rows, free] = np.tanh(pairs, out=pairs) @ self.attn_v
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        pairs += (hidden @ self.query_w)[:, None]
+        np.tanh(pairs, out=pairs)
+        logits = (pairs.reshape(-1, pairs.shape[-1]) @ self.attn_v).reshape(free.shape)
+        logits -= logits.max(axis=1, keepdims=True)
+        exps = np.zeros((len(free), self.slots))
+        exps[np.arange(len(free))[:, None], free] = np.exp(logits)
+        logits -= np.log(exps.sum(axis=1, keepdims=True))
+        return logits
 
 
 def _decoder_of(sentences, params, variable_length, decoder):
@@ -185,15 +195,16 @@ def beam_decode(sentences, params, beam_size, variable_length=False, decoder=Non
     the beam at their final score and compete with live ones for the
     beam_size slots.  Each level advances the surviving children from their
     parents' rows in one advance call and scores their visible slots, found
-    by one np.nonzero over the mask, in one log_probs call.  Only the
-    children scoring at least the beam_size-th best live child's score, ties
-    included, become candidates for the exact sort (np.partition finds that
-    score); any other child has beam_size live children strictly ahead of
-    it.  A candidate left with one visible slot takes it at its unchanged
-    score, unscored (that step's log-softmax is exactly 0.0), so a
-    fixed-length search makes n - 1 levels.  decoder, when given, is the document's
-    BatchDecoder, built beforehand (by BatchDecoder.for_documents, say) from
-    the same sentences and params.
+    by one np.nonzero over the mask as a (B, V) grid, in one log_probs
+    call; each child's score is its parent's score plus its grid entry.
+    Only the children scoring at least the beam_size-th best live child's
+    score, ties included, become candidates for the exact sort (np.partition
+    finds that score); any other child has beam_size live children strictly
+    ahead of it.  A candidate left with one visible slot takes it at its
+    unchanged score, unscored (that step's log-softmax is exactly 0.0), so a
+    fixed-length search makes n - 1 levels.  decoder, when given, is the
+    document's BatchDecoder, built beforehand (by BatchDecoder.for_documents,
+    say) from the same sentences and params.
     """
     if beam_size < 1:
         raise IndexRangeError(f"beam size must be positive, got {beam_size}")
@@ -224,9 +235,9 @@ def beam_decode(sentences, params, beam_size, variable_length=False, decoder=Non
         else:
             chosen = [START]
         hidden, cell = decoder.advance(hidden, cell, parents, chosen)
-        rows, free = visible = np.nonzero(~mask)
-        step = decoder.log_probs(hidden, visible)
-        scores = np.array([score for score, _, _, _ in live])[rows] + step[rows, free]
+        rows, free = np.nonzero(~mask)
+        step = decoder.log_probs(hidden, free.reshape(len(live), -1))
+        scores = (np.array([score for score, _, _, _ in live])[:, None] + step).ravel()
         if len(scores) > beam_size:
             # beam_size live expansions score at least the cut, so none
             # scoring less can survive the sort; those tying it still may.

@@ -38,14 +38,23 @@ _NOISE_ALIASES = {"none": "none", "one": "always_one", "always_one": "always_one
 _SIZES = ("hidden_dim", "feature_maps", "recurrent_dim", "embed_dim", "beam_size",
           "batch_size", "epochs", "min_count")
 _POSITIVE_RATES = ("learning_rate", "clip_norm", "adagrad_epsilon")
+_REALS = _POSITIVE_RATES + ("reg_lambda",)  # stored as float
 
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+def _finite_float(value):
+    """A real number as a finite float, else None (also for an int too
+    large for a float)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,11 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        object.__setattr__(self, "filter_lengths", tuple(self.filter_lengths))
+        try:
+            object.__setattr__(self, "filter_lengths", tuple(self.filter_lengths))
+        except TypeError:
+            raise ConfigError(f"filter_lengths must be integers >= 1, "
+                              f"got {self.filter_lengths!r}") from None
         for name in _SIZES:
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
@@ -83,12 +96,13 @@ class TrainConfig:
             raise ConfigError(f"fixed_length must be True or False, got {self.fixed_length!r}")
         if not (self.filter_lengths and all(_is_int(w) and w >= 1 for w in self.filter_lengths)):
             raise ConfigError(f"filter_lengths must be integers >= 1, got {self.filter_lengths!r}")
-        for name in _POSITIVE_RATES:
+        for name in _REALS:
             value = getattr(self, name)
-            if not (_is_real(value) and value > 0):
-                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
-        if not (_is_real(self.reg_lambda) and self.reg_lambda >= 0):
-            raise ConfigError(f"reg_lambda must be a finite number >= 0, got {self.reg_lambda!r}")
+            number, positive = _finite_float(value), name in _POSITIVE_RATES
+            if number is None or not (number > 0 if positive else number >= 0):
+                raise ConfigError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
+                                  f"got {value!r}")
+            object.__setattr__(self, name, number)
         for name, choices in (("encoder", ENCODER_KINDS), ("noise_mode", NOISE_MODES)):
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name} must be one of {', '.join(choices)}, "

@@ -9,7 +9,7 @@ seeds so failures replay exactly.
 import numpy as np
 import pytest
 
-from ordernet.autodiff import Graph, Param, Tensor, grad_check, sigmoid
+from ordernet.autodiff import Graph, Param, Tensor, grad_check, lstm_cell, sigmoid
 from ordernet.encoders import LstmCell, lstm_step
 from ordernet.errors import (
     EmptyInputError,
@@ -87,6 +87,47 @@ def test_tanh_sigmoid_stays_within_an_ulp_of_the_sign_split_form():
     assert np.array_equal(sigmoid(limits), split_sigmoid(limits), equal_nan=True)
     assert np.array_equal(sigmoid(limits), [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, np.nan],
                           equal_nan=True)
+
+
+def strided_lstm_cell(pre, c_prev):
+    """lstm_cell as four strided in-place passes over the sigmoid blocks and
+    one over the candidate: the formula the whole-row passes replaced."""
+    d = pre.shape[-1] // 4
+    gates, candidate = pre[..., :3 * d], pre[..., 3 * d:]
+    np.multiply(gates, 0.5, out=gates)
+    np.tanh(gates, out=gates)
+    gates += 1.0
+    gates *= 0.5
+    np.tanh(candidate, out=candidate)
+    h = np.multiply(candidate, pre[..., :d])
+    c = np.multiply(c_prev, pre[..., 2 * d:3 * d])
+    c += h
+    np.tanh(c, out=h)
+    h *= pre[..., d:2 * d]
+    return h, c, pre
+
+
+def test_lstm_cell_keeps_the_bits_of_the_strided_formula():
+    # Halving is exact and t * 0.5 + 0.5 == (t + 1) * 0.5, so the whole-row
+    # passes must equal the strided ones exactly, signed zeros included,
+    # even at inputs that saturate, underflow or overflow the halving.
+    rng = np.random.default_rng(40)
+    extremes = np.array([0.0, -0.0, 40.0, -40.0, 1e-300, -1e-300, 1e300, -1e300])
+    for rows in (1, 2, 35, 64, 160):
+        for d in (1, 3, 8, 50, 200):
+            pre = rng.normal(scale=4.0, size=(rows, 4 * d))
+            spots = rng.integers(0, pre.size, size=max(len(extremes), pre.size // 4))
+            pre.flat[spots] = rng.choice(extremes, size=len(spots))
+            pre.flat[:len(extremes)] = extremes[:pre.size]
+            c_prev = rng.normal(size=(rows, d))
+            got = lstm_cell(pre.copy(), c_prev)
+            want = strided_lstm_cell(pre.copy(), c_prev)
+            for mine, theirs in zip(got, want):
+                assert np.array_equal(mine, theirs), (rows, d)
+                assert np.array_equal(np.signbit(mine), np.signbit(theirs)), (rows, d)
+    pre, c_prev = rng.normal(size=12), rng.normal(size=3)  # one unbatched row
+    for mine, theirs in zip(lstm_cell(pre.copy(), c_prev), strided_lstm_cell(pre.copy(), c_prev)):
+        assert np.array_equal(mine, theirs)
 
 
 def test_masked_softmax_zeroes_hidden_entries_and_sums_to_one():

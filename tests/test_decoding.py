@@ -39,6 +39,21 @@ from ordernet.training import TrainConfig
 # ---------------------------------------------------------------------------
 
 
+def grid_mask(rng, rows, slots, visible):
+    """A (rows, slots) mask, True on hidden slots, that leaves each row its
+    own random choice of exactly `visible` slots, as every row of a beam
+    level has."""
+    mask = np.ones((rows, slots), dtype=bool)
+    for r in range(rows):
+        mask[r, rng.choice(slots, size=visible, replace=False)] = False
+    return mask
+
+
+def visible_grid(mask):
+    """The (rows, V) grid of visible slot numbers that log_probs takes."""
+    return np.nonzero(~mask)[1].reshape(len(mask), -1)
+
+
 def test_batch_decoder_rows_equal_graph_steps():
     rng = np.random.default_rng(12)
     for trial in range(60):
@@ -57,11 +72,11 @@ def test_batch_decoder_rows_equal_graph_steps():
         chosen = rng.integers(model.START, n, size=b)
         new_hidden, new_cell = decoder.advance(hidden, cell, parents, chosen)
         slots = n + 1 if variable else n
-        mask = rng.random((b, slots)) < 0.5
-        mask[np.arange(b), rng.integers(0, slots, size=b)] = False
-        step = decoder.log_probs(hidden, np.nonzero(~mask))
+        mask = grid_mask(rng, b, slots, int(rng.integers(1, slots + 1)))
+        free = visible_grid(mask)
+        step = decoder.log_probs(hidden, free)
         assert new_hidden.shape == new_cell.shape == (b, hd)
-        assert step.shape == (b, slots)
+        assert step.shape == free.shape
 
         for r, parent in enumerate(parents):
             h, c = model.advance_decoder(graph, (Tensor(hidden[parent]), Tensor(cell[parent])),
@@ -70,9 +85,8 @@ def test_batch_decoder_rows_equal_graph_steps():
             assert np.max(np.abs(new_cell[r] - c.value)) <= 1e-12
             probs = model.decode_step(graph, Tensor(hidden[r]), encoded, mask[r],
                                       params, variable).value
-            assert np.all(step[r][mask[r]] == -np.inf)
-            keep = ~mask[r]
-            assert np.max(np.abs(step[r][keep] - np.log(probs[keep]))) <= 1e-12
+            assert np.all(probs[mask[r]] == 0.0)
+            assert np.max(np.abs(step[r] - np.log(probs[free[r]]))) <= 1e-12
 
 
 def test_a_masked_dominant_slot_leaves_the_visible_distribution_intact():
@@ -88,11 +102,13 @@ def test_a_masked_dominant_slot_leaves_the_visible_distribution_intact():
     sentences = random_sentences(np.random.default_rng(16), 12, 4)
     (decoder,) = BatchDecoder.for_documents([sentences], params, [True])
     mask = np.array([[False, True, False, False, True],
-                     [False, False, False, False, False]])
-    step = decoder.log_probs(np.zeros((2, h)), np.nonzero(~mask))
-    assert step[0, 4] == -np.inf and np.all(np.isfinite(step[0, [0, 2, 3]]))
-    assert abs(np.exp(step[0, [0, 2, 3]]).sum() - 1.0) <= 1e-12
-    assert int(np.argmax(step[1])) == 4
+                     [True, False, True, False, False]])
+    free = visible_grid(mask)
+    step = decoder.log_probs(np.zeros((2, h)), free)
+    assert free.tolist() == [[0, 2, 3], [1, 3, 4]]
+    assert np.all(np.isfinite(step[0]))
+    assert abs(np.exp(step[0]).sum() - 1.0) <= 1e-12
+    assert int(free[1, np.argmax(step[1])]) == 4
 
 
 def test_batch_decoder_rejects_positions_outside_the_document():
@@ -193,19 +209,54 @@ def test_log_probs_equal_the_reference_on_visible_slots():
         _, hiddens, _ = ref_context(params, sentences)
         rows, slots = int(rng.integers(1, 9)), n + variable
         hidden = rng.normal(size=(rows, params.hidden_dim))
-        mask = rng.random((rows, slots)) < 0.5
-        mask[np.arange(rows), rng.integers(0, slots, size=rows)] = False
-        mask[0] = True  # row 0 keeps one slot, the stop slot when there is one
-        mask[0, slots - 1] = False
-        step = decoder.log_probs(hidden, np.nonzero(~mask))
+        visible = 1 if trial % 4 == 0 else int(rng.integers(1, slots + 1))
+        mask = grid_mask(rng, rows, slots, visible)
+        if visible == 1:  # row 0 keeps the last slot, the stop slot when there is one
+            mask[0] = True
+            mask[0, slots - 1] = False
+        free = visible_grid(mask)
+        step = decoder.log_probs(hidden, free)
+        assert step.shape == (rows, visible)
         for r in range(rows):
             probs = ref_step_probs(params, hiddens, hidden[r], mask[r], variable)
-            keep = ~mask[r]
-            assert np.all(step[r][mask[r]] == -np.inf)
-            assert np.max(np.abs(step[r][keep] - np.log(probs[keep]))) <= 1e-12
-        assert step[0, slots - 1] == 0.0
-        lone += slots > 1
+            assert np.max(np.abs(step[r] - np.log(probs[free[r]]))) <= 1e-12
+        if visible == 1:
+            assert np.all(step == 0.0)
+            lone += slots > 1
     assert lone, "no trial masked all but one of several slots"
+
+
+def full_row_log_probs(decoder, hidden, mask):
+    """Masked log-softmax over whole (B, slots) rows, -inf at hidden slots:
+    the pair-gathered computation the visible-slot grid replaced."""
+    rows, free = np.nonzero(~mask)
+    pairs = decoder.keys[free]
+    pairs += (hidden @ decoder.query_w)[rows]
+    logits = np.full(mask.shape, -np.inf)
+    logits[rows, free] = np.tanh(pairs, out=pairs) @ decoder.attn_v
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def test_grid_log_probs_equal_the_full_row_softmax_bit_for_bit():
+    # numpy sums a row of 8 or more entries in another order than it sums
+    # fewer, so a normalizer over the V visible entries alone would move
+    # bits; the grid sums each whole slot row, zeros at hidden slots.
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        kind = ("cbow", "cnn", "lstm")[trial % 3]
+        variable = bool(trial % 2)
+        params = standard_params(kind, seed=29) if trial < 3 else tiny_params(kind, seed=trial)
+        n = int(rng.integers(8, 13)) - variable
+        sentences = random_sentences(rng, 12, n)
+        (decoder,) = BatchDecoder.for_documents([sentences], params, [variable])
+        rows, slots = int(rng.integers(1, 65)), n + variable
+        hidden = rng.normal(scale=3.0, size=(rows, params.hidden_dim))
+        mask = grid_mask(rng, rows, slots, int(rng.integers(1, slots + 1)))
+        free = visible_grid(mask)
+        want = full_row_log_probs(decoder, hidden, mask)
+        assert np.array_equal(decoder.log_probs(hidden, free),
+                              want[np.arange(rows)[:, None], free]), trial
 
 
 class CountingWeight:
@@ -262,11 +313,9 @@ class TiedStepDecoder:
     def advance(self, hidden, cell, parents, chosen):
         return [() if c == START else hidden[p] + (c,) for p, c in zip(parents, chosen)], None
 
-    def log_probs(self, hidden, visible):
-        step = np.full((len(hidden), self.slots), -np.inf)
-        for r, slot in zip(*visible):
-            step[r, slot] = self.step(hidden[r], slot)
-        return step
+    def log_probs(self, hidden, free):
+        return np.array([[self.step(hidden[r], slot) for slot in row]
+                         for r, row in enumerate(free.tolist())])
 
     @staticmethod
     def step(positions, slot):

@@ -571,13 +571,29 @@ def test_config_rejects_bad_noise_settings():
 @pytest.mark.parametrize("setting", [
     dict(seed="abc"), dict(seed=1.5), dict(seed=True), dict(min_count=2.5),
     dict(min_count=0), dict(fixed_length="off"), dict(fixed_length=1),
+    dict(learning_rate=10**400), dict(filter_lengths=5), dict(filter_lengths=None),
 ])
 def test_config_rejects_what_a_checkpoint_could_not_restore(setting):
     # Each of these once built a config whose checkpoint then failed to
-    # load; fixed_length="off" even trained in fixed-length mode.
+    # load; fixed_length="off" even trained in fixed-length mode.  The last
+    # three once escaped as OverflowError (an int too large for a float)
+    # or TypeError (filter_lengths that are not a sequence).
     (key,) = setting
     with pytest.raises(ConfigError, match=key):
         TrainConfig(**setting)
+
+
+def test_float_settings_are_stored_as_floats_and_survive_a_checkpoint(tmp_path):
+    # An int above 2**53 in a float field once built a config that its own
+    # checkpoint restored as a different, unequal float.
+    model, _ = tiny_model(learning_rate=2**60 + 1, reg_lambda=0, clip_norm=3, adagrad_epsilon=1)
+    config = model.config
+    for name in ("learning_rate", "reg_lambda", "clip_norm", "adagrad_epsilon"):
+        assert type(getattr(config, name)) is float, name
+    assert config.learning_rate == float(2**60 + 1)
+    assert TrainConfig.from_dict(config.to_dict()) == config
+    checkpoint_save(tmp_path / "model.npz", model)
+    assert checkpoint_load(tmp_path / "model.npz")[0].config == config
 
 
 def test_config_rejects_an_unknown_encoder():
