@@ -130,6 +130,26 @@ def squared_norm(array):
     return float(np.einsum("i,i->", flat, flat))
 
 
+# Entries per block of a parameter-wide pass (the L2 penalty's backward,
+# AdaGrad): a parameter, its gradient, its accumulator and two scratch
+# blocks of 16,384 float64s take 640 KiB, which stays in a 2 MiB L2 cache.
+# 4,096 and 131,072 entries were both slower.
+BLOCK = 16384
+
+
+def blocks(written, read=()):
+    """Matching flat blocks of at most BLOCK entries of same-shaped float64
+    arrays, as tuples: one view of each array of `written`, then of each of
+    `read`.  A block of a contiguous array is a view into it; a block of any
+    other layout is a buffer that numpy's nditer copies back into the array
+    before the next block, so writes to the blocks of `written` reach it."""
+    arrays = (*written, *read)
+    with np.nditer(arrays, flags=["external_loop", "buffered", "zerosize_ok"],
+                   op_flags=[["readwrite"]] * len(written) + [["readonly"]] * len(read),
+                   buffersize=BLOCK, order="K") as it:
+        yield from (it if len(arrays) > 1 else zip(it))
+
+
 @functools.cache
 def _openblas_threads():
     """(getter, setter) of the thread count of numpy's bundled OpenBLAS,
@@ -602,15 +622,18 @@ class Graph:
 
         One op for any number of tensors, storing nothing per tensor; the
         squares are summed by squared_norm, so the total does not depend
-        on the BLAS thread count.
+        on the BLAS thread count.  Backward adds 2 * out.grad * value to
+        each gradient in blocks, through one block-sized scratch array.
         """
         tensors = list(tensors)
         out = Tensor(sum(squared_norm(t.value) for t in tensors))
 
         def backward_fn():
             twice = 2.0 * out.grad
+            scratch = np.empty(BLOCK)
             for t in tensors:
-                t.grad += twice * t.value
+                for grad, value in blocks([t.grad], [t.value]):
+                    grad += np.multiply(twice, value, out=scratch[:value.size])
 
         return self._emit(out, backward_fn)
 

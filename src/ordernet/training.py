@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import Graph, single_blas_thread, squared_norm
+from .autodiff import BLOCK, Graph, blocks, single_blas_thread, squared_norm
 from .corpus import NOISE_MODES, Vocab, build_instances, noise_pool_of, stable_seed
 from .encoders import ENCODER_KINDS
 from .errors import CheckpointError, ConfigError, CorpusError, InvalidOrderError, NumericError
@@ -212,21 +212,44 @@ class AdaGradState:
 
 
 def adagrad_step(params, state):
-    """One update: G += g^2, theta -= lr * g / (sqrt(G) + eps); grads reset."""
+    """One update: G += g^2, theta -= lr * g / (sqrt(G) + eps); grads reset.
+
+    Every gradient is checked first: a non-finite entry raises NumericError
+    naming its parameter, and no value, accumulator or gradient changes.
+    Each parameter is then updated in blocks of autodiff.BLOCK entries
+    through two block-sized scratch arrays, in the formula's per-element
+    order of operations.
+    """
     for p in params:
-        if not np.all(np.isfinite(p.grad)):
-            raise NumericError(f"non-finite gradient in {p.name!r}")
-        acc = state.accumulators[p.name]
-        acc += p.grad * p.grad
-        p.value -= state.learning_rate * p.grad / (np.sqrt(acc) + state.epsilon)
-        p.grad[...] = 0.0
+        for (grad,) in blocks([], [p.grad]):
+            if not np.isfinite(grad).all():
+                raise NumericError(f"non-finite gradient in {p.name!r}")
+    scratch = np.empty((2, BLOCK))
+    for p in params:
+        for value, grad, acc in blocks([p.value, p.grad, state.accumulators[p.name]]):
+            t, u = scratch[:, :grad.size]
+            np.multiply(grad, grad, out=t)
+            acc += t
+            np.sqrt(acc, out=t)
+            t += state.epsilon
+            np.multiply(state.learning_rate, grad, out=u)
+            u /= t
+            value -= u
+            grad[...] = 0.0
 
 
 def clip_gradients(params, max_norm):
-    """Scale all gradients so their global norm is at most max_norm."""
+    """Scale all gradients so their global norm is at most max_norm.
+
+    A squared norm that is not finite (a NaN or infinite entry, or squares
+    that overflow) raises NumericError naming the parameter at which the
+    running total stopped being finite, before any gradient is scaled.
+    """
     total = 0.0
     for p in params:
         total += squared_norm(p.grad)
+        if not math.isfinite(total):
+            raise NumericError(f"gradient norm is not finite at {p.name!r}")
     norm = float(np.sqrt(total))
     if norm > max_norm:
         factor = max_norm / norm

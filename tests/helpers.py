@@ -381,6 +381,27 @@ def ref_batch_loss(params, instances, reg_lambda):
 
 
 # ---------------------------------------------------------------------------
+# reference optimizer passes (whole-array expressions, no blocks)
+# ---------------------------------------------------------------------------
+
+def ref_adagrad_step(params, state):
+    """training.adagrad_step as one whole-array expression per parameter."""
+    for p in params:
+        acc = state.accumulators[p.name]
+        acc += p.grad * p.grad
+        p.value -= state.learning_rate * p.grad / (np.sqrt(acc) + state.epsilon)
+        p.grad[...] = 0.0
+
+
+def ref_penalty_backward(tensors, seed):
+    """The backward of Graph.sum_squares(tensors) under a root gradient of
+    seed, as one whole-array expression per tensor."""
+    twice = 2.0 * np.float64(seed)
+    for t in tensors:
+        t.grad += twice * t.value
+
+
+# ---------------------------------------------------------------------------
 # reference beam search (one Graph step per candidate)
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,6 @@
-"""Static check of the package source: every imported name is used, and
-every name kept bound without a use is one the benchmark's tracer wraps."""
+"""Static checks of the package source: every imported name is used, every
+name kept bound without a use is one the benchmark's tracer wraps, and no
+check is an `assert` statement."""
 
 import ast
 import importlib.util
@@ -61,6 +62,31 @@ def test_no_module_of_the_package_imports_a_name_it_never_reads():
               for path in modules
               for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def assert_lines(source):
+    """Line of each `assert` statement, which `python -O` strips."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_assert_statements_are_found():
+    source = ("def f(x):\n"
+              "    assert x, 'no x'\n"
+              "    if x:\n"
+              "        assert x > 1\n"
+              "    return 'assert x'\n")
+    assert assert_lines(source) == [2, 4]
+
+
+def test_no_module_of_the_package_checks_with_assert():
+    # The package raises an OrdernetError subclass for every failed check.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{line}"
+             for path in modules
+             for line in assert_lines(path.read_text(encoding="utf-8"))]
+    assert not found, "assert statements:\n" + "\n".join(found)
 
 
 def kept_alive_imports(source):

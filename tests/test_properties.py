@@ -1,4 +1,5 @@
-"""Property tests: metric invariants and the config parser, over generated inputs.
+"""Property tests: metric invariants, the config parser and the blocked
+optimizer passes, over generated inputs.
 
 Hypothesis runs derandomized and without its example database, so every run
 draws the same examples and leaves nothing on disk.
@@ -6,12 +7,16 @@ draws the same examples and leaves nothing on disk.
 
 from dataclasses import fields
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ref_adagrad_step, ref_penalty_backward
+
+from ordernet.autodiff import BLOCK, Graph, Param
 from ordernet.errors import OrdernetError
 from ordernet.metrics import lsr_scores, pm_scores, pmr
-from ordernet.training import TrainConfig, parse_config_value
+from ordernet.training import AdaGradState, TrainConfig, adagrad_step, parse_config_value
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -80,3 +85,71 @@ def test_every_config_that_builds_survives_its_dict_round_trip(settings):
     except OrdernetError:
         return
     assert TrainConfig.from_dict(config.to_dict()) == config
+
+
+# Parameter sizes around the block edges of the optimizer passes, and one
+# of several blocks with a ragged tail.
+block_sizes = st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+LAYOUTS = ("contiguous", "strided", "fortran")
+
+
+def laid_out(array, layout):
+    """A copy of an array in one memory layout: C order, every other entry
+    of a buffer twice as long, or Fortran order."""
+    if layout == "contiguous":
+        return np.array(array, order="C")
+    if layout == "strided":
+        out = np.full(array.shape + (2,), np.nan)[..., 0]
+        out[...] = array
+        return out
+    return np.array(array, order="F")
+
+
+def random_arrays(rng, size, layout, count):
+    """Arrays of signed entries spanning six decades, with exact zeros among
+    them: vectors of the given size, or (2, size) matrices for Fortran order."""
+    shape = (2, size) if layout == "fortran" else (size,)
+    arrays = []
+    for _ in range(count):
+        entries = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+        entries[rng.random(shape) < 0.1] = 0.0
+        arrays.append(entries)
+    return arrays
+
+
+def twin_params(value, grad, layout):
+    """The same parameter twice: laid out as given, and in C order."""
+    params = []
+    for order in (layout, "contiguous"):
+        p = Param("w", laid_out(value, order))
+        p.grad = laid_out(grad, order)
+        params.append(p)
+    return params
+
+
+@PROPERTY
+@given(block_sizes, st.sampled_from(LAYOUTS), st.integers(0, 2**32 - 1))
+def test_blocked_adagrad_equals_the_whole_array_update(size, layout, seed):
+    value, grad, acc = random_arrays(np.random.default_rng(seed), size, layout, 3)
+    blocked, whole = twin_params(value, grad, layout)
+    states = []
+    for p, order in ((blocked, layout), (whole, "contiguous")):
+        states.append(AdaGradState([p], learning_rate=0.3, epsilon=1e-6))
+        states[-1].accumulators["w"] = laid_out(np.abs(acc), order)
+    adagrad_step([blocked], states[0])
+    ref_adagrad_step([whole], states[1])
+    assert np.array_equal(blocked.value, whole.value)
+    assert np.array_equal(states[0].accumulators["w"], states[1].accumulators["w"])
+    assert np.array_equal(blocked.grad, whole.grad) and not blocked.grad.any()
+
+
+@PROPERTY
+@given(block_sizes, st.sampled_from(LAYOUTS), st.integers(0, 2**32 - 1))
+def test_blocked_penalty_gradient_equals_the_whole_array_one(size, layout, seed):
+    rng = np.random.default_rng(seed)
+    blocked, whole = twin_params(*random_arrays(rng, size, layout, 2), layout)
+    root_grad = float(rng.normal())
+    graph = Graph()
+    graph.backward(graph.sum_squares([blocked]), seed=root_grad)
+    ref_penalty_backward([whole], root_grad)
+    assert np.array_equal(blocked.grad, whole.grad)

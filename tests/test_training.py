@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,55 @@ def test_adagrad_rejects_non_finite_gradients_by_name():
     p.grad[...] = [np.nan, 0.0]
     with pytest.raises(NumericError, match="embeddings"):
         adagrad_step([p], state)
+
+
+def test_a_non_finite_gradient_stops_the_step_before_anything_changes():
+    a, b = Param("a", np.ones(3)), Param("b", np.ones(2))
+    state = AdaGradState([a, b], 0.5, 1e-6)
+    state.accumulators["a"][...] = 0.25
+    a.grad[...] = [1.0, -2.0, 0.5]
+    b.grad[...] = [0.0, np.nan]
+    with pytest.raises(NumericError, match="'b'"):
+        adagrad_step([a, b], state)
+    assert np.array_equal(a.value, np.ones(3)) and np.array_equal(b.value, np.ones(2))
+    assert np.array_equal(state.accumulators["a"], np.full(3, 0.25))
+    assert not state.accumulators["b"].any()
+    assert np.array_equal(a.grad, [1.0, -2.0, 0.5])
+    assert np.array_equal(b.grad, [0.0, np.nan], equal_nan=True)
+
+
+def test_the_optimizer_passes_allocate_no_parameter_sized_temporary():
+    # A million float64 entries take 8 MB; the whole-array formulas peaked
+    # at 15.6 MB (AdaGrad) and 7.8 MB (the penalty's backward).
+    p = Param("w", np.ones(1_000_000))
+    state = AdaGradState([p], 0.5, 1e-6)
+    graph = Graph()
+    penalty = graph.sum_squares([p])
+    tracemalloc.start()
+    try:
+        graph.backward(penalty)
+        _, penalty_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        adagrad_step([p], state)
+        _, adagrad_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert penalty_peak < 1_000_000 and adagrad_peak < 1_000_000, (penalty_peak, adagrad_peak)
+    assert np.all(p.value == 1.0 - 0.5 * 2.0 / (2.0 + 1e-6))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
+def test_clip_rejects_a_gradient_norm_that_is_not_finite(entry):
+    # 1e200 is finite, but its square overflows: scaling by 5 / inf would
+    # zero every gradient and the update would silently do nothing.
+    a, b, c = Param("a", np.zeros(2)), Param("b", np.zeros(2)), Param("c", np.zeros(2))
+    a.grad[...] = [3.0, 4.0]
+    b.grad[...] = [1.0, entry]
+    c.grad[...] = [np.nan, 0.0]
+    with pytest.raises(NumericError, match="'b'"):
+        clip_gradients([a, b, c], max_norm=5.0)
+    assert np.array_equal(a.grad, [3.0, 4.0])
+    assert np.array_equal(b.grad, [1.0, entry], equal_nan=True)
 
 
 def test_clip_rescales_only_when_norm_exceeds_the_bound():
