@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A Graph records every primitive application on a tape in construction order,
-which is already a topological order of the data flow.  backward() replays the
-tape in reverse.  Gradients of leaf tensors (anything created directly, such
-as parameters or probe inputs) accumulate across backward passes; gradients of
-op outputs are scratch space that is reset at the start of each pass, so
-calling backward twice without zeroing doubles every leaf gradient exactly.
+A Graph records the backward closure of every primitive application on a
+tape in construction order, already a topological order of the data flow.
+backward() consumes the tape in reverse, dropping each closure and the arrays
+it saved once it has run, so a graph is differentiated once.  Gradients of
+leaf tensors (anything created directly, such as parameters or probe inputs)
+accumulate until the caller zeroes them; an op output's starts at zero.
 
 There is no implicit broadcasting: elementwise ops accept equal shapes or one
 scalar operand, and anything else raises ShapeError naming both shapes.
@@ -221,7 +221,7 @@ def _scatter_add_rows(rows, values, count):
 
 
 class Graph:
-    """Tape of primitive applications supporting one-call reverse sweeps.
+    """Tape of primitive applications, differentiated at most once.
 
     With recording=False the same primitives run forward-only (used for
     decoding, where gradients are never needed).
@@ -231,22 +231,22 @@ class Graph:
         self._tape = []
         self.recording = recording
 
-    def _emit(self, out, backward_fn, more_outs=()):
+    def _emit(self, out, backward_fn):
         if self.recording:
-            self._tape.append(((out, *more_outs), backward_fn))
+            self._tape.append(backward_fn)
         return out
 
     def backward(self, root, seed=1.0):
-        """Accumulate d(root)/d(leaf) into every leaf gradient, scaled by seed."""
+        """Add seed * d(root)/d(leaf) into every leaf gradient, consuming
+        the tape: each closure is dropped once it has run, which frees the
+        arrays it saved.  The graph stops recording, so a second call
+        raises NumericError, as a call on a non-recording graph does."""
         if not self.recording:
-            raise NumericError("cannot backpropagate through a non-recording graph")
-        # Op outputs hold per-pass scratch gradients; leaves keep accumulating.
-        for outs, _ in self._tape:
-            for out in outs:
-                out.grad[...] = 0.0
+            raise NumericError("backward of a forward-only or already differentiated graph")
+        self.recording = False
         root.grad += seed
-        for _, backward_fn in reversed(self._tape):
-            backward_fn()
+        while self._tape:
+            self._tape.pop()()
 
     # ----- primitives -----
 
@@ -347,12 +347,14 @@ class Graph:
 
         Only the gate activations and cell states of each step are stored;
         backward() recomputes the rest from them, runs the recurrence back
-        by hand, and adds the weight gradient as [x; h_prev]^T @ d_pre and
-        the bias gradient as one column sum.  x's gradient stays one row
-        per input row, index or not.  From zero states, the gradients of
-        the states before the first step are never formed.  Values round
-        differently from a chain of encoders.lstm_step calls (the
-        projection splits the [x; h_prev] @ w product in two).
+        by hand, writing each step's gradient of the gate pre-activations
+        (d_pre) over that step's stored activations, and adds the weight
+        gradient as [x; h_prev]^T @ d_pre and the bias gradient as one
+        column sum.  x's gradient stays one row per input row, index or
+        not.  From zero states, the gradients of the states before the
+        first step are never formed.  Values round differently from a
+        chain of encoders.lstm_step calls (the projection splits the
+        [x; h_prev] @ w product in two).
         """
         xv, wv, bv = x.value, w.value, b.value
         if xv.ndim != 2:
@@ -411,7 +413,12 @@ class Graph:
         def backward_fn():
             dh, dc = final_h.grad.copy(), final_c.grad.copy()
             tanh_c_all = np.tanh(c_all)
-            d_pre_all = np.empty((n, 4 * d))
+            # The hidden state before each input: h0 for a sequence's first
+            # row, else the previous row's output gate times tanh(cell),
+            # read before the steps below write d_pre over the gates.
+            h_prev_all = np.empty((n, d))
+            np.multiply(acts_all[:-1, d:2 * d], tanh_c_all[:-1], out=h_prev_all[1:])
+            h_prev_all[offsets] = hv
             for t, (rows, flat) in reversed(list(enumerate(steps))):
                 c_prev = cv[rows] if t == 0 else c_all[flat - 1]
                 # g reaches the new hidden state; dct is the whole gradient
@@ -426,25 +433,21 @@ class Graph:
                     dct * c_prev * gate_forget * (1.0 - gate_forget),
                     dct * gate_in * (1.0 - candidate * candidate),
                 ], axis=-1)
-                d_pre_all[flat] = d_pre
+                # No earlier step reads these rows of the activations.
+                acts_all[flat] = d_pre
                 if t or not zero_start:  # else only h0 and c0 would read them
                     dc[rows] = dct * gate_forget
                     dh[rows] = d_pre @ w_hidden.T
             if not zero_start:
                 h0.grad += dh
                 c0.grad += dc
-            # The hidden state before each input: h0 for a sequence's first
-            # row, else the previous row's output gate times tanh(cell).
-            h_prev_all = np.empty((n, d))
-            np.multiply(acts_all[:-1, d:2 * d], tanh_c_all[:-1], out=h_prev_all[1:])
-            h_prev_all[offsets] = hv
-            b.grad += d_pre_all.sum(axis=0)
-            w.grad[:k] += xv.T @ d_pre_all
-            w.grad[k:] += h_prev_all.T @ d_pre_all
-            x.grad += d_pre_all @ w_input.T
+            # acts_all now holds every row's d_pre.
+            b.grad += acts_all.sum(axis=0)
+            w.grad[:k] += xv.T @ acts_all
+            w.grad[k:] += h_prev_all.T @ acts_all
+            x.grad += acts_all @ w_input.T
 
-        outs = (final_h, final_c) if hidden is None else (hidden, final_h, final_c)
-        self._emit(outs[0], backward_fn, outs[1:])
+        self._emit(final_h, backward_fn)
         return hidden, final_h, final_c
 
     def conv_max(self, x, lengths, filters):

@@ -48,6 +48,11 @@ from .model import advance_decoder, decode_step, encode_document  # noqa: F401
 EXHAUSTIVE_LIMIT = 8  # factorial guard
 
 
+def is_count(value):
+    """Whether value is an integer >= 1: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 class BatchDecoder:
     """Forward-only pointer decoder of one document over plain arrays.
 
@@ -206,8 +211,8 @@ def beam_decode(sentences, params, beam_size, variable_length=False, decoder=Non
     document's BatchDecoder, built beforehand (by BatchDecoder.for_documents,
     say) from the same sentences and params.
     """
-    if beam_size < 1:
-        raise IndexRangeError(f"beam size must be positive, got {beam_size}")
+    if not is_count(beam_size):
+        raise IndexRangeError(f"beam size must be an integer >= 1, got {beam_size!r}")
     n = len(sentences)
     decoder = _decoder_of(sentences, params, variable_length, decoder)
     slots = decoder.slots
@@ -285,9 +290,7 @@ def exhaustive_decode(sentences, params, variable_length=False):
         if best is None or entry < best[0]:
             best = (entry, lp, target)
     _, lp, target = best
-    if variable_length:
-        return Order(tuple(target[:-1]), True, lp)
-    return Order(tuple(target), False, lp)
+    return Order(tuple(target[:-1] if variable_length else target), bool(variable_length), lp)
 
 
 def rescore(sentences, params, order, variable_length=False):

@@ -291,7 +291,7 @@ def batch_loss(graph, instances, params, reg_lambda):
     if not instances:
         raise EmptyInputError("loss over an empty batch")
     # The penalty goes on the tape first, so backward() adds its gradient
-    # last, after every other op's scratch arrays are gone.
+    # last, after every other op has freed its saved and scratch arrays.
     penalty = graph.sum_squares(params.all_params()) if reg_lambda else None
     log_probs = batch_log_probs(graph, [inst.inputs for inst in instances],
                                 [inst.target for inst in instances], params)

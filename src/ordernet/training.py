@@ -20,8 +20,9 @@ import numpy as np
 from .autodiff import BLOCK, Graph, blocks, single_blas_thread, squared_norm
 from .corpus import NOISE_MODES, Vocab, build_instances, noise_pool_of, stable_seed
 from .encoders import ENCODER_KINDS
-from .errors import CheckpointError, ConfigError, CorpusError, InvalidOrderError, NumericError
-from .decoding import BatchDecoder, beam_decode, greedy_decode
+from .errors import (CheckpointError, ConfigError, CorpusError, EmptyInputError,
+                     InvalidOrderError, NumericError)
+from .decoding import BatchDecoder, beam_decode, greedy_decode, is_count
 from .metrics import aggregate
 from .model import PtrNetParams, batch_loss
 
@@ -265,6 +266,8 @@ def train_epoch(model, documents, epoch, opt_state, noise_pool=None):
     order by (seed, epoch), so any epoch can be replayed in isolation.  Each
     batch step runs on one BLAS thread (single_blas_thread).
     """
+    if not documents:
+        raise EmptyInputError("train_epoch over no documents")
     cfg = model.config
     params = model.params.all_params()
     instances = build_instances(
@@ -281,7 +284,6 @@ def train_epoch(model, documents, epoch, opt_state, noise_pool=None):
             graph = Graph()
             loss = batch_loss(graph, batch, model.params, cfg.reg_lambda)
             graph.backward(loss)
-            del graph  # frees the batch's activations before the optimizer allocates
             batch_losses.append(float(loss.value))
             clip_gradients(params, cfg.clip_norm)
             adagrad_step(params, opt_state)
@@ -336,7 +338,7 @@ def decode_instances(model, instances, strategy="greedy", beam_size=None, jobs=1
     """
     if strategy not in ("greedy", "beam"):
         raise ConfigError(f"unknown decode strategy {strategy!r}")
-    if jobs < 1:
+    if not is_count(jobs):
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
     if beam_size is None:
         beam_size = model.config.beam_size

@@ -233,16 +233,22 @@ def test_non_recording_graph_refuses_backward():
 # ---------------------------------------------------------------------------
 
 
-def test_repeated_backward_doubles_leaf_gradients_exactly():
+def test_backward_consumes_the_tape_and_refuses_a_second_pass():
     w = Tensor(np.array([[0.3, -0.2], [0.1, 0.4]]))
     x = Tensor(np.array([0.5, -0.7]))
+    cell = LstmCell.create("c", 2, 3, np.random.default_rng(0))
     g = Graph()
-    out = g.sum(g.tanh(g.matmul(w, x)))
+    hidden, _, final_c = g.lstm_sequence(g.stack_rows([g.tanh(g.matmul(w, x)), x]), [2],
+                                         None, None, cell.w, cell.b)
+    out = g.add(g.sum(hidden), g.sum(final_c))
     g.backward(out)
-    first_w, first_x = w.grad.copy(), x.grad.copy()
-    g.backward(out)
-    assert np.array_equal(w.grad, 2.0 * first_w)
-    assert np.array_equal(x.grad, 2.0 * first_x)
+    assert g._tape == [] and not g.recording
+    first = [t.grad.copy() for t in (w, x, cell.w, cell.b)]
+    assert all(grad.any() for grad in first)
+    with pytest.raises(NumericError, match="already differentiated"):
+        g.backward(out)
+    for t, grad in zip((w, x, cell.w, cell.b), first):
+        assert np.array_equal(t.grad, grad)
 
 
 def test_backward_seed_scales_gradients():

@@ -1,6 +1,7 @@
 """Tests for the three sentence encoders and the shared LSTM cell."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -182,6 +183,27 @@ def test_a_zero_start_equals_explicit_zero_states_without_the_first_product():
             backward = [shapes for shapes in products if shapes[1] == (4 * d, d)]
             assert len(forward) == len(backward) == steps - skipped, trial
             assert sum(shapes[1] == (k, 4 * d) for shapes in products) == 1
+
+
+def test_lstm_sequence_backward_allocates_less_than_one_gate_gradient_matrix():
+    # 64 sequences of 64 steps, input and state width 16: the (n, 4d)
+    # gradient of the gate pre-activations alone would take 2 MiB.  It is
+    # written over the saved activations instead (a separate one peaked at
+    # 3.62 MiB).
+    rng = np.random.default_rng(5)
+    cell = LstmCell.create("c", 16, 16, rng)
+    g = Graph()
+    x = Tensor(rng.normal(size=(64 * 64, 16)))
+    hidden, _, _ = g.lstm_sequence(x, [64] * 64, None, None, cell.w, cell.b)
+    total = g.sum(hidden)
+    tracemalloc.start()
+    try:
+        g.backward(total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 64 * 4 * 16 * 8, peak
+    assert x.grad.any() and cell.w.grad.any()
 
 
 def test_lstm_sequence_rejects_bad_shapes_and_empty_sequences():

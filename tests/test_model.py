@@ -641,6 +641,10 @@ def test_saliency_restores_every_parameter_gradient():
         assert any(v > 0.0 for scores in result.scores for v in scores)
         for p, grad in zip(params.all_params(), before):
             assert np.array_equal(p.grad, grad), (kind, p.name)
+        # Each call differentiates a graph of its own once.
+        assert saliency(inst, prefix=[1], params=params, choice=3, allow_stop=True) == result
+        for p, grad in zip(params.all_params(), before):
+            assert np.array_equal(p.grad, grad), (kind, p.name)
 
 
 @pytest.mark.parametrize("prefix, choice", [

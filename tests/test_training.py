@@ -21,6 +21,7 @@ from ordernet.errors import (
     CheckpointError,
     ConfigError,
     EmptyInputError,
+    IndexRangeError,
     InvalidOrderError,
     NumericError,
 )
@@ -218,6 +219,17 @@ def test_an_epoch_after_saliency_trains_as_one_without_it():
         trained.append(params_of(model))
     for name, value in trained[0].items():
         assert np.array_equal(value, trained[1][name]), name
+
+
+def test_an_epoch_over_no_documents_is_refused():
+    # The mean of no batch losses was a NaN epoch loss, which train recorded.
+    model, docs = tiny_model()
+    state = AdaGradState(model.params.all_params(),
+                         model.config.learning_rate, model.config.adagrad_epsilon)
+    with pytest.raises(EmptyInputError):
+        train_epoch(model, [], 1, state)
+    with pytest.raises(EmptyInputError):
+        train(model, [], docs[:4], state, epochs=1)
 
 
 def test_a_non_finite_log_probability_stops_training_naming_the_document():
@@ -456,6 +468,28 @@ def test_evaluate_rejects_a_fixed_length_order_that_is_no_permutation(monkeypatc
                         lambda sentences, params, variable, **_: Order((0, 0, 0, 0, 0), False, 0.0))
     with pytest.raises(InvalidOrderError, match=instances[0].doc_id):
         evaluate(model, instances)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, np.float64(2.0), True, False, "2", 0, -1])
+def test_beam_widths_and_job_counts_are_integers_of_at_least_one(count):
+    # A float width reached np.partition as a raw TypeError, True decoded as
+    # width 1, and a float job count failed inside the process pool.
+    model, docs = tiny_model()
+    instances = build_instances(docs[:8], model.vocab, model.config.seed, 0)
+    with pytest.raises(IndexRangeError, match="beam size"):
+        decoding.beam_decode(instances[0].inputs, model.params, count)
+    with pytest.raises(IndexRangeError, match="beam size"):
+        evaluate(model, instances, "beam", count)
+    with pytest.raises(ConfigError, match="jobs"):
+        decode_instances(model, instances, jobs=count)
+
+
+def test_numpy_integer_widths_and_job_counts_are_accepted():
+    model, docs = tiny_model()
+    instances = build_instances(docs[:8], model.vocab, model.config.seed, 0)
+    plain = decode_instances(model, instances, "beam", 3)
+    numpy_ints = decode_instances(model, instances, "beam", np.int64(3), jobs=np.uint8(2))
+    assert plain == numpy_ints
 
 
 def test_parallel_decoding_matches_serial():
