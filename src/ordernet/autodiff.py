@@ -133,7 +133,9 @@ def squared_norm(array):
 # Entries per block of a parameter-wide pass (the L2 penalty's backward,
 # AdaGrad): a parameter, its gradient, its accumulator and two scratch
 # blocks of 16,384 float64s take 640 KiB, which stays in a 2 MiB L2 cache.
-# 4,096 and 131,072 entries were both slower.
+# 4,096 and 131,072 entries were both slower.  A block of gathered queries
+# in attention_log_probs (under 128 KiB) is also small enough for glibc to
+# serve from its heap instead of mapping, and faulting in, fresh pages.
 BLOCK = 16384
 
 
@@ -148,6 +150,35 @@ def blocks(written, read=()):
                    op_flags=[["readwrite"]] * len(written) + [["readonly"]] * len(read),
                    buffersize=BLOCK, order="K") as it:
         yield from (it if len(arrays) > 1 else zip(it))
+
+
+def attention_log_probs(keys, queries, rows, slots, v, width):
+    """Pointing log-probabilities of the visible (row, slot) pairs of a
+    batch of attention steps, on plain arrays: the one definition of the
+    attention that training and search both run.
+
+    keys is the (P, h) array of the projected keys of the P pairs; it is
+    overwritten with tanh(keys + queries[rows]), so the caller hands over an
+    array it owns and may read those activations afterwards.  queries holds
+    the projected query of each row, (R, h); rows and slots are the pairs'
+    row and slot numbers, row-major as np.nonzero returns them, with at
+    least one pair in every row; v is the (h,) scoring vector and width the
+    number of slots of a row.  Pair p scores v . tanh(keys[p] +
+    queries[rows[p]]), and entry p of the (P,) result is its log-softmax
+    over its row's pairs.  The queries are added in blocks of at most BLOCK
+    entries, so no (P, h) array of gathered queries is made.  The per-row
+    maximum is subtracted first, and the normalizer of a row is summed over
+    a whole width-wide slot row, with zeros at the slots that are not pairs,
+    so it rounds as a masked log-softmax over the full row does.
+    """
+    for lo in range(0, len(rows), step := max(1, BLOCK // len(v))):
+        keys[lo:lo + step] += queries[rows[lo:lo + step]]
+    logits = np.tanh(keys, out=keys) @ v
+    logits -= np.maximum.reduceat(logits, np.searchsorted(rows, np.arange(len(queries))))[rows]
+    exps = np.zeros((len(queries), width))
+    exps[rows, slots] = np.exp(logits)
+    logits -= np.log(exps.sum(axis=1))[rows]
+    return logits
 
 
 @functools.cache
@@ -527,12 +558,17 @@ class Graph:
         log-probability is the target's masked log-softmax.  Returns the
         (B,) vector of each row's summed step log-probabilities.
 
-        Keys and queries are each projected by one GEMM; the steps run one
-        at a time over a (B, slots, h) array, and backward() recomputes
-        its tanh instead of storing it.  backward() sums the gradients of
-        the slots that share a key row (the stop key of every variable-length
-        row, say) with one bincount, each key's slots in row order, as
-        np.add.at into a zero array would.
+        Keys and queries are each projected by one GEMM.  Every step of
+        every row then runs at once on the (row, slot) pairs that are
+        visible at it: one attention_log_probs call, whose rows are the Q
+        queries, scores them, and each row's step log-probabilities are
+        summed in step order.  backward() scores the same pairs again,
+        which recomputes tanh on them only, forms v's gradient in one
+        einsum over every pair (numpy's own loop, so no BLAS split of the
+        long sum), and sums each (row, slot) pair's key gradient over the
+        steps; it then sums the gradients of the slots that share a key row
+        (the stop key of every variable-length row, say) with one bincount,
+        each key's slots in row order, as np.add.at into a zero array would.
         """
         kv, qv, wv, vv = keys.value, queries.value, w.value, v.value
         slots = np.asarray(slots, dtype=np.intp)
@@ -560,40 +596,35 @@ class Graph:
                     or np.unique(chosen).size != chosen.size):
                 raise IndexRangeError(f"pointer_log_probs row {b}: targets {chosen.tolist()} "
                                       f"are not distinct slots of {row_slots}")
-        batch = len(steps)
-        first_query = np.cumsum(steps) - steps
-        key_proj = (kv @ wv[:h])[np.where(present, slots, 0)]
+        batch, width = slots.shape
+        # Query q is step step[q] of row doc[q], choosing slot target[q];
+        # taken[b, s] is the step at which row b chooses slot s, a step it
+        # never reaches if it does not.
+        doc, step = np.nonzero(targets >= 0)
+        target = targets[doc, step]
+        taken = np.full(slots.shape, steps.max())
+        taken[doc, target] = step
+        pair_rows, pair_slots = np.nonzero(present[doc] & (taken[doc] >= step[:, None]))
+        pair_keys = slots[doc[pair_rows], pair_slots]
+        chosen = np.flatnonzero(pair_slots == target[pair_rows])
+        key_proj = kv @ wv[:h]
         query_proj = qv @ wv[h:]
-        hidden = ~present
-        total = np.zeros(batch)
-        step_rows = []
-        for t in range(steps.max()):
-            rows = np.flatnonzero(steps > t)
-            query_rows = first_query[rows] + t
-            chosen = targets[rows, t]
-            logits = np.tanh(key_proj[rows] + query_proj[query_rows][:, None, :]) @ vv
-            logits[hidden[rows]] = -np.inf
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            z = e.sum(axis=1)
-            total[rows] += shifted[np.arange(len(rows)), chosen] - np.log(z)
-            hidden[rows, chosen] = True
-            step_rows.append((rows, query_rows, chosen, e / z[:, None]))
-        out = Tensor(total)
+        scoring = (query_proj, pair_rows, pair_slots, vv, width)
+        log_probs = attention_log_probs(key_proj[pair_keys], *scoring)
+        out = Tensor(np.bincount(doc, log_probs[chosen], batch))
 
         def backward_fn():
-            d_key_proj = np.zeros(key_proj.shape)
-            d_query_proj = np.empty(query_proj.shape)
-            for rows, query_rows, chosen, probs in step_rows:
-                g = out.grad[rows]
-                d_logits = probs * -g[:, None]
-                d_logits[np.arange(len(rows)), chosen] += g
-                act = np.tanh(key_proj[rows] + query_proj[query_rows][:, None, :])
-                v.grad += np.einsum("rs,rsh->h", d_logits, act)
-                d_in = d_logits[:, :, None] * vv * (1.0 - act * act)
-                d_key_proj[rows] += d_in
-                d_query_proj[query_rows] = d_in.sum(axis=1)
-            d_keys = _scatter_add_rows(slots[present], d_key_proj[present], kv.shape[0])
+            g = out.grad[doc]
+            act = key_proj[pair_keys]  # scoring it again leaves tanh(key + query) in it
+            d_logits = np.exp(attention_log_probs(act, *scoring)) * -g[pair_rows]
+            d_logits[chosen] += g
+            v.grad += np.einsum("p,ph->h", d_logits, act)
+            d_in = d_logits[:, None] * vv
+            d_in *= np.subtract(1.0, np.multiply(act, act, out=act), out=act)
+            d_pairs = _scatter_add_rows(doc[pair_rows] * width + pair_slots, d_in, batch * width)
+            d_keys = _scatter_add_rows(slots[present], d_pairs[present.reshape(-1)], kv.shape[0])
+            d_query_proj = np.add.reduceat(
+                d_in, np.searchsorted(pair_rows, np.arange(len(doc))), axis=0)
             w.grad[:h] += kv.T @ d_keys
             keys.grad += d_keys @ wv[:h].T
             w.grad[h:] += qv.T @ d_query_proj

@@ -147,19 +147,21 @@ def cmd_train(args):
     if checkpoint_path is None:
         raise ConfigError("train needs --checkpoint or --out to store the model")
 
-    log_lines = [_config_echo(config), "# epoch\tloss\tpm\tlsr\tpmr\tseconds"]
-    print(log_lines[0])
-    print(log_lines[1])
-
-    def on_epoch(record):
-        line = record.line()
-        log_lines.append(line)
-        print(line, flush=True)
-
-    train(model, train_corpus.documents, dev_corpus.documents,
-          on_epoch=on_epoch, checkpoint_path=checkpoint_path)
+    # Each log line reaches --log as it is printed, so a run that fails
+    # keeps the lines of the epochs it finished.
     if paths["log"]:
-        _write_text(paths["log"], "\n".join(log_lines) + "\n")
+        _write_text(paths["log"], "")
+
+    def log(line):
+        print(line, flush=True)
+        if paths["log"]:
+            with open(paths["log"], "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+
+    log(_config_echo(config))
+    log("# epoch\tloss\tpm\tlsr\tpmr\tseconds")
+    train(model, train_corpus.documents, dev_corpus.documents,
+          on_epoch=lambda record: log(record.line()), checkpoint_path=checkpoint_path)
     print(f"# checkpoint: {checkpoint_path}")
     return 0
 

@@ -21,9 +21,13 @@ parent (its children share it and differ only in their input_pre row),
 attention logits only for the slots that are still visible, and Python
 candidates only for the children that can survive the level's top-k cut.
 Every live candidate of a level holds the same number of positions, so
-each has the same number V of visible slots: attention runs on a (B, V)
-grid of them, and the LSTM gates of a step are whole-row passes over its
-contiguous (B, 4h) pre-activations (autodiff.lstm_cell).
+each has the same number V of visible slots: attention scores the (B, V)
+grid of them through autodiff.attention_log_probs, the kernel that
+training's Graph.pointer_log_probs runs too, and the LSTM gates of a step
+are whole-row passes over its contiguous (B, 4h) pre-activations
+(autodiff.lstm_cell).  for_documents and beam_decode each run on one BLAS
+thread (autodiff.single_blas_thread, pinned once per call, never per step),
+so decoded log-probabilities do not depend on the thread count.
 Exhaustive search and rescoring teacher-force the differentiable Graph path
 of ordernet.model.  No search runs the per-step Graph functions, which
 compose primitives and have no fused op.
@@ -35,7 +39,7 @@ import itertools
 
 import numpy as np
 
-from .autodiff import Graph, lstm_cell
+from .autodiff import Graph, attention_log_probs, lstm_cell, single_blas_thread
 from .errors import IndexRangeError, InvalidOrderError, NumericError, ShapeError
 from .metrics import lsr_scores, pm_scores
 from .model import START, Order, encode_batch, sequence_log_prob
@@ -66,20 +70,22 @@ class BatchDecoder:
     model.decode_step to every row at once, with no gradient buffers.
     advance() steps children from their parents' rows, multiplying each
     distinct parent's hidden state by the recurrent weights once;
-    log_probs() evaluates the attention only on the (B, V) grid of visible
-    slots, V being the same for every row.
+    log_probs() evaluates the attention only on a (B, V) grid of visible
+    slots, through autodiff.attention_log_probs.
     """
 
     @classmethod
+    @single_blas_thread()
     def for_documents(cls, documents, params, variable_flags):
         """One decoder per document, all from a single encode_batch call.
 
         The keys of every document plus the stop key, and the START input
         plus every sentence vector, are each projected by one GEMM; each
         decoder then gathers its own rows.  variable_flags[b] gives document
-        b the stop slot.  Raises NumericError unless every array a search
-        reads (keys, input projections, start states, decoder weights) is
-        finite.
+        b the stop slot.  It runs on one BLAS thread (single_blas_thread),
+        so the encoding rounds the same at any thread count.  Raises
+        NumericError unless every array a search reads (keys, input
+        projections, start states, decoder weights) is finite.
         """
         if len(variable_flags) != len(documents):
             raise ShapeError(f"{len(variable_flags)} length modes for {len(documents)} documents")
@@ -154,22 +160,17 @@ class BatchDecoder:
         free is the (B, V) grid of visible slot numbers, ascending along
         each row: every row of a beam level has the same number V of
         visible slots, so np.nonzero(~mask)[1].reshape(B, V) gives it for
-        a (B, slots) mask that is True on hidden slots.  The query
-        projection of each row is broadcast over its V keys, and entry
-        (r, i) is the log-probability of slot free[r, i].  The normalizer
-        is summed over each whole slot row with zeros at hidden slots, so
-        it rounds as a full-row masked log-softmax does.  V must be at
-        least 1.
+        a (B, slots) mask that is True on hidden slots.  The grid's
+        (row, slot) pairs, row-major, go to autodiff.attention_log_probs
+        with each row's projected query, and entry (r, i) is the
+        log-probability of slot free[r, i]; the normalizer is summed over
+        each whole slot row with zeros at hidden slots, so it rounds as a
+        full-row masked log-softmax does.  V must be at least 1.
         """
-        pairs = self.keys[free]
-        pairs += (hidden @ self.query_w)[:, None]
-        np.tanh(pairs, out=pairs)
-        logits = (pairs.reshape(-1, pairs.shape[-1]) @ self.attn_v).reshape(free.shape)
-        logits -= logits.max(axis=1, keepdims=True)
-        exps = np.zeros((len(free), self.slots))
-        exps[np.arange(len(free))[:, None], free] = np.exp(logits)
-        logits -= np.log(exps.sum(axis=1, keepdims=True))
-        return logits
+        flat = free.reshape(-1)
+        rows = np.repeat(np.arange(len(free)), free.shape[1])
+        return attention_log_probs(self.keys[flat], hidden @ self.query_w, rows, flat,
+                                   self.attn_v, self.slots).reshape(free.shape)
 
 
 def _decoder_of(sentences, params, variable_length, decoder):
@@ -192,6 +193,7 @@ def greedy_decode(sentences, params, variable_length=False, decoder=None):
     return beam_decode(sentences, params, 1, variable_length, decoder)[0]
 
 
+@single_blas_thread()
 def beam_decode(sentences, params, beam_size, variable_length=False, decoder=None):
     """Beam search; returns (best order, the whole finished beam).
 
@@ -209,7 +211,8 @@ def beam_decode(sentences, params, beam_size, variable_length=False, decoder=Non
     unchanged score, unscored (that step's log-softmax is exactly 0.0), so a
     fixed-length search makes n - 1 levels.  decoder, when given, is the
     document's BatchDecoder, built beforehand (by BatchDecoder.for_documents,
-    say) from the same sentences and params.
+    say) from the same sentences and params.  The search runs on one BLAS
+    thread (single_blas_thread).
     """
     if not is_count(beam_size):
         raise IndexRangeError(f"beam size must be an integer >= 1, got {beam_size!r}")

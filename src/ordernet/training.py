@@ -463,8 +463,11 @@ def train(model, train_docs, dev_docs, opt_state=None, start_epoch=1,
 
     Keeps the checkpoint of the best dev pairwise F when checkpoint_path is
     given.  stop_when(record) may end the run early.  Returns the list of
-    EpochRecord entries.
+    EpochRecord entries.  An empty dev split raises EmptyInputError before
+    the first epoch.
     """
+    if not dev_docs:
+        raise EmptyInputError("the dev split holds no documents to evaluate")
     cfg = model.config
     if opt_state is None:
         opt_state = AdaGradState(model.params.all_params(),

@@ -9,7 +9,8 @@ import pytest
 
 from helpers import CHECKPOINT_DAMAGE, damaged_checkpoint
 
-from ordernet import cli, decoding
+from ordernet import cli, decoding, training
+from ordernet.errors import NumericError
 from ordernet.training import checkpoint_load
 
 
@@ -128,6 +129,51 @@ def test_train_without_output_location_fails(capsys, toy_corpus_dir):
         "--dev", str(toy_corpus_dir / "test.txt"), "--epochs", "1"])
     assert rc == 1
     assert err.startswith("error:") and "--checkpoint" in err
+
+
+TINY_CBOW = ("encoder = cbow\nhidden_dim = 8\nembed_dim = 6\nrecurrent_dim = 8\n"
+             "batch_size = 8\nepochs = 3\n")
+
+
+def test_an_empty_dev_split_fails_before_the_first_epoch(capsys, monkeypatch, toy_corpus_dir,
+                                                         tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an epoch ran before the dev split was checked")
+
+    monkeypatch.setattr(training, "train_epoch", refuse)
+    config, empty = tmp_path / "c.cfg", tmp_path / "empty.txt"
+    config.write_text(TINY_CBOW, encoding="utf-8")
+    empty.write_text("", encoding="utf-8")
+    rc, _, err = run_cli(capsys, [
+        "train", "--config", str(config), "--train", str(toy_corpus_dir / "train.txt"),
+        "--dev", str(empty), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "dev split" in lines[0], err
+    assert not (tmp_path / "run" / "model.npz").exists()
+
+
+def test_the_log_keeps_every_finished_epoch_when_a_later_one_fails(capsys, monkeypatch,
+                                                                   toy_corpus_dir, tmp_path):
+    train_epoch = training.train_epoch
+
+    def failing_second(model, documents, epoch, *args):
+        if epoch == 2:
+            raise NumericError("gradient norm is not finite")
+        return train_epoch(model, documents, epoch, *args)
+
+    monkeypatch.setattr(training, "train_epoch", failing_second)
+    config, log = tmp_path / "c.cfg", tmp_path / "logs" / "train.log"
+    config.write_text(TINY_CBOW, encoding="utf-8")
+    rc, out, err = run_cli(capsys, [
+        "train", "--config", str(config), "--train", str(toy_corpus_dir / "train.txt"),
+        "--dev", str(toy_corpus_dir / "test.txt"), "--out", str(tmp_path / "run"),
+        "--log", str(log)])
+    assert rc == 1 and err.startswith("error:") and "not finite" in err
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# config:") and lines[1].startswith("# epoch")
+    assert len(lines) == 3 and lines[2].split("\t")[0] == "1"
+    assert lines == out.splitlines()  # the log holds what was printed
 
 
 def test_unknown_config_key_fails(capsys, toy_corpus_dir, tmp_path):

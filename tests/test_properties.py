@@ -153,3 +153,88 @@ def test_blocked_penalty_gradient_equals_the_whole_array_one(size, layout, seed)
     graph.backward(graph.sum_squares([blocked]), seed=root_grad)
     ref_penalty_backward([whole], root_grad)
     assert np.array_equal(blocked.grad, whole.grad)
+
+
+def full_row_pointer_log_probs(kv, slots, qv, targets, wv, vv, seed):
+    """The pointer op as it was before the shared attention kernel, on plain
+    arrays: each step scores every slot of its rows over a (rows, slots, h)
+    key gather, sets the hidden slots to -inf, and takes v's gradient by an
+    einsum per step.  Returns the (B,) log-likelihoods and the gradients of
+    the keys, queries, w and v under the root gradient seed."""
+    slots, targets = np.asarray(slots), np.asarray(targets)
+    h = len(vv)
+    present = slots >= 0
+    steps = (targets >= 0).sum(axis=1)
+    first_query = np.cumsum(steps) - steps
+    key_proj = (kv @ wv[:h])[np.where(present, slots, 0)]
+    query_proj = qv @ wv[h:]
+    hidden = ~present
+    total = np.zeros(len(steps))
+    step_rows = []
+    for t in range(steps.max()):
+        rows = np.flatnonzero(steps > t)
+        query_rows = first_query[rows] + t
+        chosen = targets[rows, t]
+        logits = np.tanh(key_proj[rows] + query_proj[query_rows][:, None, :]) @ vv
+        logits[hidden[rows]] = -np.inf
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        z = e.sum(axis=1)
+        total[rows] += shifted[np.arange(len(rows)), chosen] - np.log(z)
+        hidden[rows, chosen] = True
+        step_rows.append((rows, query_rows, chosen, e / z[:, None]))
+    d_key_proj = np.zeros(key_proj.shape)
+    d_query_proj = np.empty(query_proj.shape)
+    d_v = np.zeros(h)
+    for rows, query_rows, chosen, probs in step_rows:
+        g = seed[rows]
+        d_logits = probs * -g[:, None]
+        d_logits[np.arange(len(rows)), chosen] += g
+        act = np.tanh(key_proj[rows] + query_proj[query_rows][:, None, :])
+        d_v += np.einsum("rs,rsh->h", d_logits, act)
+        d_in = d_logits[:, :, None] * vv * (1.0 - act * act)
+        d_key_proj[rows] += d_in
+        d_query_proj[query_rows] = d_in.sum(axis=1)
+    d_keys = np.zeros(kv.shape)
+    np.add.at(d_keys, slots[present], d_key_proj[present])
+    d_w = np.vstack([kv.T @ d_keys, qv.T @ d_query_proj])
+    return total, d_keys @ wv[:h].T, d_query_proj @ wv[h:].T, d_w, d_v
+
+
+# Ragged batches that mix both length modes, as batch_log_probs builds them:
+# row b points at its own n_b sentence keys, plus the one stop key that every
+# variable-length row shares.  Slot rows are 2-12 wide, across the 8 entries
+# at which numpy's sums change order, and a target that takes every slot
+# leaves its last step a single visible slot.
+pointer_rows = st.lists(
+    st.tuples(st.integers(1, 11), st.booleans(), st.integers(1, 12)).filter(
+        lambda row: row[0] + row[1] >= 2),
+    min_size=1, max_size=6)
+
+
+@PROPERTY
+@given(pointer_rows, st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_pointer_log_probs_equals_the_full_row_op(rows, h, seed):
+    rng = np.random.default_rng(seed)
+    sentences = sum(n for n, _, _ in rows)
+    slots = np.full((len(rows), max(n + stop for n, stop, _ in rows)), -1)
+    targets = np.full(slots.shape, -1)
+    offset = 0
+    for b, (n, stop, length) in enumerate(rows):
+        slots[b, :n] = np.arange(offset, offset + n)
+        if stop:
+            slots[b, n] = sentences  # the shared stop key
+        length = min(length, n + stop)
+        targets[b, :length] = rng.permutation(n + stop)[:length]
+        offset += n
+    keys = Param("keys", rng.normal(size=(sentences + 1, h)))
+    queries = Param("queries", rng.normal(size=(int((targets >= 0).sum()), h)))
+    w, v = Param("w", rng.normal(size=(2 * h, h))), Param("v", rng.normal(size=h))
+    root = rng.normal(size=len(rows))
+    graph = Graph()
+    out = graph.pointer_log_probs(keys, slots, queries, targets, w, v)
+    graph.backward(out, seed=root)
+    want = full_row_pointer_log_probs(keys.value, slots, queries.value, targets, w.value,
+                                      v.value, root)
+    for got, expected in zip((out.value, keys.grad, queries.grad, w.grad, v.grad), want):
+        assert np.max(np.abs(got - expected)) <= 1e-12

@@ -299,6 +299,42 @@ def test_training_is_bit_identical_at_one_and_two_blas_threads(tmp_path):
         assert np.array_equal(value, saved["2"][name]), name
 
 
+
+# A cnn model at the standard dimensions, trained for three epochs on 64
+# documents, decodes 64 others greedily and with beam 64.  Encoding a chunk
+# of 64 documents makes products big enough for OpenBLAS to thread.
+_DECODE_THREAD_RUN = """
+import numpy as np
+from ordernet.corpus import Document, build_instances, build_vocab, tokenize
+from ordernet.synthetic import generate_documents
+from ordernet.training import AdaGradState, Model, TrainConfig, decode_instances, train_epoch
+texts = generate_documents(128, np.random.default_rng(9), sentences_per_doc=5)
+docs = [Document(f"d{i}", [tokenize(s) for s in text]) for i, text in enumerate(texts)]
+config = TrainConfig(encoder="cnn", batch_size=64, adagrad_epsilon=0.3, seed=4)
+model = Model.create(config, build_vocab(docs[:64]))
+state = AdaGradState(model.params.all_params(), config.learning_rate, config.adagrad_epsilon)
+for epoch in (1, 2, 3):
+    train_epoch(model, docs[:64], epoch, state)
+instances = build_instances(docs[64:], model.vocab, config.seed, 0)
+for strategy, beam in (("greedy", None), ("beam", 64)):
+    for order in decode_instances(model, instances, strategy, beam):
+        print(order.positions, order.stopped, float(order.log_prob).hex())
+"""
+
+
+def test_decoding_is_bit_identical_at_one_and_two_blas_threads():
+    src = str(Path(training.__file__).resolve().parents[1])
+    printed = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        run = subprocess.run([sys.executable, "-c", _DECODE_THREAD_RUN], env=env,
+                             check=True, timeout=300, capture_output=True, text=True)
+        printed[threads] = run.stdout.splitlines()
+    assert len(printed["1"]) == 2 * 64
+    assert printed["1"] == printed["2"]
+
 def test_train_epoch_reports_the_batch_loss():
     model, docs = tiny_model(batch_size=16)  # the 16 documents make one batch
     instances = build_instances(docs, model.vocab, model.config.seed, 1)
