@@ -22,17 +22,14 @@ from .corpus import (
     tokenize,
 )
 from .decoding import beam_decode, exhaustive_decode, greedy_decode, oracle_in_beam
-from .encoders import LstmCell, lstm_step
+from .encoders import LstmCell
 from .errors import OrdernetError
 from .metrics import MetricsReport, aggregate, head_tail, lsr_scores, pm_scores, pmr
 from .model import (
     START,
     Order,
     PtrNetParams,
-    advance_decoder,
     batch_loss,
-    decode_step,
-    encode_document,
     saliency,
     sequence_log_prob,
 )

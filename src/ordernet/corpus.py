@@ -35,10 +35,13 @@ def stable_seed(*parts):
     """Deterministic 64-bit seed from a mix of ints and strings.
 
     Unlike hash(), this is stable across processes, which the resume and
-    replay guarantees depend on.
+    replay guarantees depend on.  A numpy scalar part counts as its Python
+    value, so np.int64(3) gives the seed that 3 gives.
     """
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
+        if isinstance(part, np.generic):
+            part = part.item()
         h.update(repr(part).encode("utf-8"))
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "little")

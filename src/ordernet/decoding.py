@@ -20,17 +20,16 @@ what differs between candidates: hidden @ W_h once per distinct surviving
 parent (its children share it and differ only in their input_pre row),
 attention logits only for the slots that are still visible, and Python
 candidates only for the children that can survive the level's top-k cut.
-Every live candidate of a level holds the same number of positions, so
-each has the same number V of visible slots: attention scores the (B, V)
-grid of them through autodiff.attention_log_probs, the kernel that
-training's Graph.pointer_log_probs runs too, and the LSTM gates of a step
-are whole-row passes over its contiguous (B, 4h) pre-activations
+Attention scores the visible (row, slot) pairs of a level, as np.nonzero
+finds them in its mask, through autodiff.attention_log_probs, the kernel
+that training's Graph.pointer_log_probs runs too, and the LSTM gates of a
+step are whole-row passes over its contiguous (B, 4h) pre-activations
 (autodiff.lstm_cell).  for_documents and beam_decode each run on one BLAS
 thread (autodiff.single_blas_thread, pinned once per call, never per step),
 so decoded log-probabilities do not depend on the thread count.
-Exhaustive search and rescoring teacher-force the differentiable Graph path
-of ordernet.model.  No search runs the per-step Graph functions, which
-compose primitives and have no fused op.
+Exhaustive search and rescoring teacher-force the loss's fused ops
+(model.sequence_log_prob).  No search runs the per-step Graph functions of
+ordernet.model, which compose primitives and have no fused op.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ class BatchDecoder:
     model.decode_step to every row at once, with no gradient buffers.
     advance() steps children from their parents' rows, multiplying each
     distinct parent's hidden state by the recurrent weights once;
-    log_probs() evaluates the attention only on a (B, V) grid of visible
-    slots, through autodiff.attention_log_probs.
+    log_probs() evaluates the attention only on the visible (row, slot)
+    pairs, through autodiff.attention_log_probs.
     """
 
     @classmethod
@@ -154,23 +153,19 @@ class BatchDecoder:
         hidden, cell, _ = lstm_cell(pre, cell)
         return hidden, cell
 
-    def log_probs(self, hidden, free):
-        """(B, V) step log-probabilities of the V visible slots of each row.
+    def log_probs(self, hidden, rows, slots):
+        """Step log-probabilities of the visible (row, slot) pairs of a batch.
 
-        free is the (B, V) grid of visible slot numbers, ascending along
-        each row: every row of a beam level has the same number V of
-        visible slots, so np.nonzero(~mask)[1].reshape(B, V) gives it for
-        a (B, slots) mask that is True on hidden slots.  The grid's
-        (row, slot) pairs, row-major, go to autodiff.attention_log_probs
-        with each row's projected query, and entry (r, i) is the
-        log-probability of slot free[r, i]; the normalizer is summed over
-        each whole slot row with zeros at hidden slots, so it rounds as a
-        full-row masked log-softmax does.  V must be at least 1.
+        rows and slots are the pairs, row-major with at least one pair in
+        every row of hidden, as np.nonzero(~mask) gives them for a
+        (B, slots) mask that is True on hidden slots.  They go to
+        autodiff.attention_log_probs with each row's projected query, and
+        entry p is the log-probability of slot slots[p] in row rows[p]; the
+        normalizer is summed over each whole slot row with zeros at hidden
+        slots, so it rounds as a full-row masked log-softmax does.
         """
-        flat = free.reshape(-1)
-        rows = np.repeat(np.arange(len(free)), free.shape[1])
-        return attention_log_probs(self.keys[flat], hidden @ self.query_w, rows, flat,
-                                   self.attn_v, self.slots).reshape(free.shape)
+        return attention_log_probs(self.keys[slots], hidden @ self.query_w, rows, slots,
+                                   self.attn_v, self.slots)
 
 
 def _decoder_of(sentences, params, variable_length, decoder):
@@ -201,9 +196,9 @@ def beam_decode(sentences, params, beam_size, variable_length=False, decoder=Non
     with the stop slot n appended once stopped.  Finished candidates stay in
     the beam at their final score and compete with live ones for the
     beam_size slots.  Each level advances the surviving children from their
-    parents' rows in one advance call and scores their visible slots, found
-    by one np.nonzero over the mask as a (B, V) grid, in one log_probs
-    call; each child's score is its parent's score plus its grid entry.
+    parents' rows in one advance call and scores their visible (row, slot)
+    pairs, found by one np.nonzero over the mask, in one log_probs call;
+    each child's score is its parent's score plus its pair's entry.
     Only the children scoring at least the beam_size-th best live child's
     score, ties included, become candidates for the exact sort (np.partition
     finds that score); any other child has beam_size live children strictly
@@ -244,8 +239,8 @@ def beam_decode(sentences, params, beam_size, variable_length=False, decoder=Non
             chosen = [START]
         hidden, cell = decoder.advance(hidden, cell, parents, chosen)
         rows, free = np.nonzero(~mask)
-        step = decoder.log_probs(hidden, free.reshape(len(live), -1))
-        scores = (np.array([score for score, _, _, _ in live])[:, None] + step).ravel()
+        scores = np.array([score for score, _, _, _ in live])[rows] + decoder.log_probs(
+            hidden, rows, free)
         if len(scores) > beam_size:
             # beam_size live expansions score at least the cut, so none
             # scoring less can survive the sort; those tying it still may.

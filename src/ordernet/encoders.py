@@ -6,7 +6,10 @@ Graph.conv_max (cnn: max-over-time tanh feature maps per filter width) or
 Graph.lstm_sequence (lstm: the final hidden state).  This module holds the
 encoders' parameters, the one-step LSTM composition lstm_step, and the
 *_vector functions, which run the same ops on one sentence given as a list
-of word tensors and look up the one row they make as a vector.
+of word tensors and look up the one row they make as a vector.  Only
+model's per-step reference decoder calls lstm_step, and nothing in the
+package calls the *_vector functions; the tests compare against them and
+bench/tracing.py wraps them by name.
 """
 
 from __future__ import annotations

@@ -11,13 +11,16 @@ so emitted orders can never repeat a position.
 encode_batch encodes a batch with one embedding lookup, one sentence-encoder
 op and one context-LSTM op.  The loss is defined once, for a whole
 minibatch on one graph: batch_log_probs encodes every document, runs the
-teacher-forced decoder of all of them as one LSTM op and scores every
-pointing step with one attention op, except a forced last step (one visible
-slot, log-probability exactly 0), which it neither runs nor scores.
-sequence_log_prob and encode_document are its one-document cases.  For
-saliency, advance_decoder and decode_step step a single decoder state over
-encode_document's BatchEncoding; they are compositions of Graph primitives
-(the decoder LSTM step is encoders.lstm_step), with no fused per-step op.
+teacher-forced decoder of all of them as one LSTM op (_teacher_forced) and
+scores every pointing step with one attention op, except a forced last step
+(one visible slot, log-probability exactly 0), which it neither runs nor
+scores.  sequence_log_prob is its one-document case.  saliency runs the
+same encode_batch and _teacher_forced, then one attention op for the next
+step.  encode_document, advance_decoder and decode_step step a single
+decoder state as compositions of Graph primitives (the decoder LSTM step is
+encoders.lstm_step); nothing in the package runs them.  They are the
+references the tests check the fused ops against, and bench/tracing.py
+wraps them by name.
 """
 
 from __future__ import annotations
@@ -227,6 +230,28 @@ def validate_target(target, n_inputs):
     return has_stop
 
 
+def _teacher_forced(graph, batch, fed, params):
+    """Attention keys and teacher-forced decoder states of an encoded batch.
+
+    fed[b] lists the sentence positions fed to document b's decoder after
+    START.  Returns the keys (every context row, then the stop key) and the
+    decoder states, len(fed[b]) + 1 rows per document, from one
+    lstm_sequence op started at the context LSTM's final states, which
+    projects each distinct input row once.
+    """
+    # Row 0 of the decoder's input table is START, row 1 + i sentence i.
+    inputs = graph.stack_rows([params.start_input, batch.sentences])
+    lengths = [len(positions) + 1 for positions in fed]
+    input_rows = np.fromiter(
+        (row for offset, positions in zip(batch.doc_offsets, fed)
+         for row in [0] + [1 + offset + p for p in positions]),
+        dtype=np.intp, count=sum(lengths))
+    states, _, _ = graph.lstm_sequence(
+        graph.lookup(inputs, input_rows), lengths, batch.final_h, batch.final_c,
+        params.decoder_cell.w, params.decoder_cell.b, index=input_rows)
+    return graph.stack_rows([batch.context, params.stop_key]), states
+
+
 def batch_log_probs(graph, documents, targets, params):
     """Teacher-forced log-probability of each document's target, as a (B,) tensor.
 
@@ -252,21 +277,9 @@ def batch_log_probs(graph, documents, targets, params):
               for doc, target, stop in zip(documents, targets, allow_stop)]
     batch = encode_batch(graph, documents, params)
     n_sentences = len(batch.sentence_lengths)
-
-    # Row 0 of the decoder's input table is START, row 1 + i sentence i.
-    inputs = graph.stack_rows([params.start_input, batch.sentences])
-    input_rows = np.fromiter(
-        (row for offset, target in zip(batch.doc_offsets, scored)
-         for row in [0] + [1 + offset + p for p in target[:-1]]),
-        dtype=np.intp, count=sum(len(target) for target in scored))
-    queries, _, _ = graph.lstm_sequence(
-        graph.lookup(inputs, input_rows), [len(target) for target in scored],
-        batch.final_h, batch.final_c, params.decoder_cell.w, params.decoder_cell.b,
-        index=input_rows)
-
+    keys, queries = _teacher_forced(graph, batch, [target[:-1] for target in scored], params)
     # Key row n_sentences is the stop key, the last slot of a document
     # decoded in variable-length mode.
-    keys = graph.stack_rows([batch.context, params.stop_key])
     slots = np.full((len(documents), batch.doc_lengths.max() + 1), -1)
     steps = np.full((len(documents), max(len(target) for target in scored)), -1)
     for b, (offset, n, target) in enumerate(zip(batch.doc_offsets, batch.doc_lengths, scored)):
@@ -319,12 +332,19 @@ class SaliencyResult:
 def saliency(instance, prefix, params, choice=None, allow_stop=False):
     """Gradient-norm attribution of one pointing decision onto every word.
 
-    Runs the decoder teacher-forced through `prefix` (distinct positions),
-    takes the distribution of the next step, and differentiates the
-    probability of `choice` (the greedy argmax when omitted, else a slot
-    not in the prefix) with respect to each word embedding use (a row of
-    the document's one embedding lookup), on one BLAS thread.  The
-    parameters' gradients are left as they were found.
+    Runs the decoder teacher-forced through `prefix` (distinct positions)
+    on the ops of the loss (encode_batch, the decoder's one lstm_sequence
+    and one pointer_log_probs op), takes the distribution of the next step,
+    and differentiates the probability of `choice` (the greedy argmax when
+    omitted, the lowest slot on ties, else a slot not in the prefix) with
+    respect to each word embedding use (a row of the document's one
+    embedding lookup), on one BLAS thread.  The next step is scored as one
+    pointer row per free slot, each with the last decoder state as its
+    query and that slot as its one target among the free slots, so the
+    rows' log-probabilities are the whole next-step distribution.  Since
+    d p = p * d log p, backward runs from the chosen log-probability with
+    the probability as its seed.  The parameters' gradients are left as
+    they were found.
     A forced step, whose one free slot is the choice, builds no graph: its
     probability is exactly 1 and every score exactly 0, as backward gives.
     """
@@ -340,34 +360,31 @@ def saliency(instance, prefix, params, choice=None, allow_stop=False):
                               scores=[[0.0] * len(sentence) for sentence in instance.inputs])
     with single_blas_thread():
         graph = Graph()
-        encoded = encode_document(graph, instance.inputs, params)
-        state = (graph.lookup(encoded.final_h, 0), graph.lookup(encoded.final_c, 0))
-        mask = np.zeros(slots, dtype=bool)
-        previous = START
-        for p in prefix:
-            state = advance_decoder(graph, state, previous, encoded, params)
-            mask[p] = True
-            previous = p
-        state = advance_decoder(graph, state, previous, encoded, params)
-        probs = decode_step(graph, state[0], encoded, mask, params, allow_stop)
-
-        if choice is None:
-            choice = int(np.argmax(probs.value))
-        prob = graph.pick(probs, choice)
+        batch = encode_batch(graph, [instance.inputs], params)
+        keys, states = _teacher_forced(graph, batch, [prefix], params)
+        # Slot s reads key row s; the stop slot n is the stop key, row n.
+        free = [s for s in range(slots) if s not in prefix]
+        queries = graph.lookup(states, np.full(len(free), len(prefix)))
+        log_probs = graph.pointer_log_probs(keys, [free] * len(free), queries,
+                                            np.arange(len(free))[:, None],
+                                            params.attn_w, params.attn_v)
+        index = int(np.argmax(log_probs.value)) if choice is None else free.index(choice)
+        log_p = graph.pick(log_probs, index)
+        probability = float(np.exp(log_p.value))
         # backward() adds into every parameter's gradient; a caller between
         # training steps must not see saliency's share of it.
         saved = [(param, param.grad.copy()) for param in params.all_params()]
         try:
-            graph.backward(prob)
+            graph.backward(log_p, seed=probability)
         finally:
             for param, grad in saved:
                 param.grad[...] = grad
 
-        norms = iter([float(np.linalg.norm(row)) for row in encoded.words.grad])
-        scores = [[next(norms) for _ in range(length)] for length in encoded.sentence_lengths]
+        norms = iter([float(np.linalg.norm(row)) for row in batch.words.grad])
+        scores = [[next(norms) for _ in range(length)] for length in batch.sentence_lengths]
     return SaliencyResult(
         step=len(prefix) + 1,
-        choice=choice,
-        probability=float(prob.value),
+        choice=free[index],
+        probability=probability,
         scores=scores,
     )

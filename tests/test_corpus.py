@@ -228,6 +228,13 @@ def test_stable_seed_distinguishes_types_and_boundaries():
     assert stable_seed(1, 2) == stable_seed(1, 2)
 
 
+def test_stable_seed_hashes_numpy_scalars_as_their_python_values():
+    # repr(np.int64(3)) is "np.int64(3)", so the seed used to differ.
+    assert stable_seed(np.int64(3), "x") == stable_seed(3, "x")
+    assert stable_seed(np.int32(7), np.str_("doc:1")) == stable_seed(7, "doc:1")
+    assert stable_seed(np.float64(0.5)) == stable_seed(0.5)
+
+
 # ---------------------------------------------------------------------------
 # instances
 # ---------------------------------------------------------------------------

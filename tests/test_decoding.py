@@ -50,7 +50,8 @@ def grid_mask(rng, rows, slots, visible):
 
 
 def visible_grid(mask):
-    """The (rows, V) grid of visible slot numbers that log_probs takes."""
+    """The (rows, V) grid of visible slot numbers, the layout of log_probs's
+    pairs when every row has V of them."""
     return np.nonzero(~mask)[1].reshape(len(mask), -1)
 
 
@@ -74,7 +75,7 @@ def test_batch_decoder_rows_equal_graph_steps():
         slots = n + 1 if variable else n
         mask = grid_mask(rng, b, slots, int(rng.integers(1, slots + 1)))
         free = visible_grid(mask)
-        step = decoder.log_probs(hidden, free)
+        step = decoder.log_probs(hidden, *np.nonzero(~mask)).reshape(free.shape)
         assert new_hidden.shape == new_cell.shape == (b, hd)
         assert step.shape == free.shape
 
@@ -104,7 +105,7 @@ def test_a_masked_dominant_slot_leaves_the_visible_distribution_intact():
     mask = np.array([[False, True, False, False, True],
                      [True, False, True, False, False]])
     free = visible_grid(mask)
-    step = decoder.log_probs(np.zeros((2, h)), free)
+    step = decoder.log_probs(np.zeros((2, h)), *np.nonzero(~mask)).reshape(free.shape)
     assert free.tolist() == [[0, 2, 3], [1, 3, 4]]
     assert np.all(np.isfinite(step[0]))
     assert abs(np.exp(step[0]).sum() - 1.0) <= 1e-12
@@ -215,7 +216,7 @@ def test_log_probs_equal_the_reference_on_visible_slots():
             mask[0] = True
             mask[0, slots - 1] = False
         free = visible_grid(mask)
-        step = decoder.log_probs(hidden, free)
+        step = decoder.log_probs(hidden, *np.nonzero(~mask)).reshape(free.shape)
         assert step.shape == (rows, visible)
         for r in range(rows):
             probs = ref_step_probs(params, hiddens, hidden[r], mask[r], variable)
@@ -255,7 +256,7 @@ def test_grid_log_probs_equal_the_full_row_softmax_bit_for_bit():
         mask = grid_mask(rng, rows, slots, int(rng.integers(1, slots + 1)))
         free = visible_grid(mask)
         want = full_row_log_probs(decoder, hidden, mask)
-        assert np.array_equal(decoder.log_probs(hidden, free),
+        assert np.array_equal(decoder.log_probs(hidden, *np.nonzero(~mask)).reshape(free.shape),
                               want[np.arange(rows)[:, None], free]), trial
 
 
@@ -313,9 +314,9 @@ class TiedStepDecoder:
     def advance(self, hidden, cell, parents, chosen):
         return [() if c == START else hidden[p] + (c,) for p, c in zip(parents, chosen)], None
 
-    def log_probs(self, hidden, free):
-        return np.array([[self.step(hidden[r], slot) for slot in row]
-                         for r, row in enumerate(free.tolist())])
+    def log_probs(self, hidden, rows, slots):
+        return np.array([self.step(hidden[r], slot)
+                         for r, slot in zip(rows.tolist(), slots.tolist())])
 
     @staticmethod
     def step(positions, slot):

@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from helpers import random_sentences, tiny_params
 
@@ -52,10 +53,13 @@ def test_the_benchmark_tracer_installs_counts_and_removes_cleanly():
     assert tracer.tensors > 0
 
 
-def test_traced_greedy_evaluation_counts_no_beam_search():
-    # greedy_decode runs beam_decode of width 1 through decoding's own
-    # global, which the tracer does not wrap, so a greedy evaluation shows
-    # as greedy calls only.
+@pytest.mark.parametrize("strategy", ["greedy", "beam"])
+def test_traced_evaluation_counts_one_search_per_instance(strategy):
+    # The benchmark's tracer and decode capture wrap training.greedy_decode
+    # and beam_decode, so they need one call per instance.  greedy_decode
+    # runs beam_decode of width 1 through decoding's own global, which the
+    # tracer does not wrap, so a greedy evaluation shows as greedy calls
+    # only, and a beam evaluation as beam calls only.
     tracing = _load_tracing()
     docs = [Document(f"doc{d}", [[f"cue{i}", "word"] for i in range(3 + d)]) for d in range(3)]
     config = training.TrainConfig(hidden_dim=8, embed_dim=6, recurrent_dim=8, encoder="cbow")
@@ -65,9 +69,10 @@ def test_traced_greedy_evaluation_counts_no_beam_search():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        training.evaluate(untrained, instances, "greedy")
+        training.evaluate(untrained, instances, strategy, beam_size=4)
     finally:
         tracer.remove()
 
-    assert tracer.calls["decoding.greedy_decode"] == 3
-    assert tracer.calls["decoding.beam_decode"] == 0
+    other = "beam" if strategy == "greedy" else "greedy"
+    assert tracer.calls[f"decoding.{strategy}_decode"] == len(instances) == 3
+    assert tracer.calls[f"decoding.{other}_decode"] == 0

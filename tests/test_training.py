@@ -13,7 +13,7 @@ import pytest
 
 from helpers import CHECKPOINT_DAMAGE, damaged_checkpoint, overwrite_well_scaled
 
-from ordernet import autodiff, decoding, training
+from ordernet import autodiff, decoding, encoders, training
 from ordernet import model as ptr_model
 from ordernet.autodiff import Graph, Param
 from ordernet.corpus import Document, Vocab, build_instances, build_vocab, tokenize
@@ -219,6 +219,21 @@ def test_an_epoch_after_saliency_trains_as_one_without_it():
         trained.append(params_of(model))
     for name, value in trained[0].items():
         assert np.array_equal(value, trained[1][name]), name
+
+
+def test_a_numpy_integer_epoch_trains_as_the_int_epoch():
+    # An epoch is replayed from its number; np.int64(3) must name epoch 3.
+    trained, losses = [], []
+    for epoch in (3, np.int64(3)):
+        model, docs = tiny_model(seed=3)
+        state = AdaGradState(model.params.all_params(),
+                             model.config.learning_rate, model.config.adagrad_epsilon)
+        losses.append(train_epoch(model, docs, epoch, state))
+        trained.append((params_of(model), state.accumulators))
+    assert losses[0] == losses[1]
+    for name, value in trained[0][0].items():
+        assert np.array_equal(value, trained[1][0][name]), name
+        assert np.array_equal(trained[0][1][name], trained[1][1][name]), name
 
 
 def test_an_epoch_over_no_documents_is_refused():
@@ -674,6 +689,40 @@ def test_no_instances_decode_to_nothing_and_evaluate_to_an_error(monkeypatch):
             assert decode_instances(model, [], strategy, jobs=jobs) == []
     with pytest.raises(EmptyInputError):
         evaluate(model, [])
+
+
+# The per-step Graph compositions and what only they call: references for
+# the tests and targets of the benchmark's tracer, never run by the product.
+PER_STEP_PATH = (
+    [(ptr_model, name) for name in ("encode_document", "advance_decoder", "decode_step",
+                                    "lstm_step", "cbow_vector", "cnn_vector", "lstm_vector")]
+    + [(decoding, name) for name in ("encode_document", "advance_decoder", "decode_step")]
+    + [(encoders, name) for name in ("lstm_step", "cbow_vector", "cnn_vector", "lstm_vector")]
+    + [(Graph, name) for name in ("matmul", "mul", "tanh", "sigmoid", "log", "masked_softmax",
+                                  "max_over_time", "concat", "narrow", "add_rowvec")]
+)
+
+
+@pytest.mark.parametrize("fixed_length", [True, False])
+@pytest.mark.parametrize("encoder", ["cbow", "cnn", "lstm"])
+def test_the_product_never_runs_the_per_step_path(monkeypatch, encoder, fixed_length):
+    noise = "none" if fixed_length else "always_one"
+    model, docs = tiny_model(encoder=encoder, fixed_length=fixed_length, noise_mode=noise)
+    instances = build_instances(docs[:4], model.vocab, model.config.seed, 0,
+                                noise_mode=noise, fixed_length=fixed_length)
+    for owner, name in PER_STEP_PATH:
+        monkeypatch.setattr(owner, name, refuse)
+    state = AdaGradState(model.params.all_params(),
+                         model.config.learning_rate, model.config.adagrad_epsilon)
+    train_epoch(model, docs, 1, state)
+    evaluate(model, instances, "greedy")
+    evaluate(model, instances, "beam", beam_size=4)
+    inst = instances[0]
+    assert inst.has_stop is not fixed_length
+    best = decoding.exhaustive_decode(inst.inputs, model.params, inst.has_stop)
+    assert np.isfinite(decoding.rescore(inst.inputs, model.params, best, inst.has_stop))
+    result = saliency(inst, [0], model.params, allow_stop=inst.has_stop)
+    assert 0.0 < result.probability < 1.0
 
 
 # ---------------------------------------------------------------------------
